@@ -57,7 +57,7 @@ from repro import TimberWolfConfig, place_and_route  # noqa: E402
 from repro.annealing import RangeLimiter  # noqa: E402
 from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
-from repro.placement import BatchMoveGenerator, make_placement_state  # noqa: E402
+from repro.placement import BatchMoveGenerator, PlacementState  # noqa: E402
 
 FULL_SIZES = (50, 100, 200)
 QUICK_SIZES = (50,)
@@ -110,11 +110,9 @@ def build_circuit(n: int, seed: int = 0):
 
 def flow_config(mover: str, seed: int) -> TimberWolfConfig:
     """Smoke-effort flow config: identical for both movers except the
-    mover switch itself (both run the array core so the cost model and
-    schedule are the same code)."""
+    mover switch itself (same cost model and schedule code)."""
     return replace(
         TimberWolfConfig.smoke(seed),
-        core="array",
         mover=mover,
         attempts_per_cell=10,
     )
@@ -167,7 +165,7 @@ def verify_scratch_invariant(n: int = GATE_SIZE, seed: int = 5) -> Dict:
     removed.
     """
     circuit = build_circuit(n, seed=seed)
-    state = make_placement_state("array", circuit, determine_core(circuit))
+    state = PlacementState(circuit, determine_core(circuit))
     state.randomize(random.Random(seed))
     core = state.core
     limiter = RangeLimiter(

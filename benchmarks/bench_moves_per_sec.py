@@ -4,14 +4,13 @@ The paper's wall-clock claims (§6, Table 4) rest on each annealing move
 being cheap; this harness measures exactly that.  For synthetic circuits
 at N ∈ {20, 50, 100, 200} cells it times every move kind the §3.2.1
 generate cascade issues — displace, inverted displace, interchange,
-pin-group move, and the move+restore rejection cycle — under BOTH
-placement cores (the object graph and the struct-of-arrays kernel),
-plus a mixed anneal at a fixed temperature per core.  The array core's
-headline number is the *batched* mixed anneal (``BatchMoveGenerator``),
-whose speedup over the committed object-core baseline is what the CI
-quick gate enforces.  Before any timing, a seeded 500-move walk is
-replayed under both cores and the harness exits non-zero if a single
-accept/reject decision or cost diverges.
+pin-group move, and the move+restore rejection cycle — plus a serial
+mixed anneal at a fixed temperature.  The headline number is the
+*batched* mixed anneal (``BatchMoveGenerator``), whose speedup over a
+fixed committed baseline is what the CI quick gate enforces.  The
+incremental cost's correctness is not checked here: the property tests
+(``tests/placement/test_arraycore.py``) compare it with the
+from-scratch oracle.
 
 Results go to ``BENCH_placement.json`` at the repository root so the
 repo's perf trajectory is machine-readable from PR to PR.
@@ -22,8 +21,8 @@ Usage::
         [--output PATH] [--sizes 20,50,100,200]
 
 ``--quick`` shrinks both the size sweep and the per-kind move counts to
-a few seconds total (the CI smoke mode) and enforces the gates: replay
-identity, telemetry overhead, and the minimum mixed-anneal speedup.
+a few seconds total (the CI smoke mode) and enforces the gates:
+telemetry overhead and the minimum mixed-anneal speedup.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.placement import (  # noqa: E402
     BatchMoveGenerator,
     MoveGenerator,
     PlacementState,
-    make_placement_state,
 )
 from repro.telemetry import (  # noqa: E402
     FileSink,
@@ -64,18 +62,14 @@ from repro.telemetry import (  # noqa: E402
 FULL_SIZES = (20, 50, 100, 200)
 QUICK_SIZES = (20, 50)
 
-#: Both inner-loop implementations; "array" additionally gets the
-#: batched mixed anneal.
-CORES = ("object", "array")
-
 #: Temperature for the mixed anneal: high enough that a realistic
 #: fraction of moves is accepted, low enough that some restore.
 MIXED_TEMPERATURE = 50.0
 
-#: The committed object-core mixed-anneal rate at N=50 (BENCH_placement
-#: .json as of the run-registry PR).  The array kernel's speedup is
-#: measured against this constant so the gate cannot drift with the
-#: object core's own performance.
+#: The serial mixed-anneal rate at N=50 of the original object-graph
+#: core, as committed in BENCH_placement.json.  The batched speedup is
+#: measured against this fixed constant so the gate cannot drift with
+#: the serial path's own performance.
 BASELINE_MIXED_MOVES_PER_SEC_N50 = 11995.9
 
 #: Minimum batched-array speedup over the committed baseline enforced in
@@ -85,11 +79,8 @@ MIN_QUICK_SPEEDUP = 5.0
 #: The size the gates and the flattened registry metrics are taken at.
 GATE_SIZE = 50
 
-#: Length of the cross-core replay walk (mirrors the property tests).
-REPLAY_STEPS = 500
 
-
-def build_state(n: int, seed: int = 0, core: str = "object") -> PlacementState:
+def build_state(n: int, seed: int = 0) -> PlacementState:
     """A randomized placement of a synthetic n-cell circuit (25% custom
     cells so pin-group and aspect moves are exercised)."""
     spec = CircuitSpec(
@@ -101,7 +92,7 @@ def build_state(n: int, seed: int = 0, core: str = "object") -> PlacementState:
         custom_fraction=0.25,
     )
     circuit = generate_circuit(spec)
-    state = make_placement_state(core, circuit, determine_core(circuit))
+    state = PlacementState(circuit, determine_core(circuit))
     state.randomize(random.Random(seed))
     return state
 
@@ -257,11 +248,11 @@ def bench_mixed(
 def bench_mixed_batched(
     state, n_steps: int, seed: int = 2, repeats: int = 3
 ) -> Dict:
-    """The array core's batched mixed anneal: ``BatchMoveGenerator``
-    proposing one batch of distinct-cell moves per step.  The batch size
-    is the cell count, so each step is one inner-loop sweep; begin() /
-    finish() (the object<->array handoff) run outside the timed region,
-    as they do once per anneal, not per move."""
+    """The batched mixed anneal: ``BatchMoveGenerator`` proposing one
+    batch of distinct-cell moves per step.  The batch size is the cell
+    count, so each step is one inner-loop sweep; begin() / finish() (the
+    session handoff) run outside the timed region, as they do once per
+    anneal, not per move."""
     limiter = _make_limiter(state)
     best = 0.0
     total_attempts = 0
@@ -292,41 +283,6 @@ def bench_mixed_batched(
         "attempts": total_attempts,
         "batch": batch,
         "per_kind": {k: list(v) for k, v in sorted(generator.stats.items())},
-    }
-
-
-def verify_replay(
-    n: int = GATE_SIZE, steps: int = REPLAY_STEPS, seed: int = 4
-) -> Dict:
-    """Replay one seeded mixed-anneal walk under both cores and compare
-    every (attempts, accepts, cost) triple bit-for-bit.
-
-    This is the bench-side mirror of the round-trip property tests: the
-    array kernel must make the exact accept/reject decisions the object
-    core makes, or every checkpoint and telemetry artifact it produces
-    is silently incomparable.
-    """
-    traces: Dict[str, List] = {}
-    for core in CORES:
-        state = build_state(n, core=core)
-        generator = MoveGenerator(state, _make_limiter(state))
-        rng = random.Random(seed)
-        trace = []
-        for _ in range(steps):
-            attempts, accepts = generator.step(MIXED_TEMPERATURE, rng)
-            trace.append((attempts, accepts, state.cost()))
-        traces[core] = trace
-    first_divergence = None
-    for i, (obj, arr) in enumerate(zip(traces["object"], traces["array"])):
-        if obj != arr:
-            first_divergence = {"step": i, "object": list(obj), "array": list(arr)}
-            break
-    return {
-        "size": n,
-        "steps": steps,
-        "seed": seed,
-        "identical": first_divergence is None,
-        "first_divergence": first_divergence,
     }
 
 
@@ -483,40 +439,28 @@ def run(sizes, moves_per_kind: int, mixed_steps: int, repeats: int = 3) -> Dict:
         "sizes": {},
     }
 
-    replay = verify_replay(n=min(GATE_SIZE, max(sizes)))
-    out["replay"] = replay
-    status = "identical" if replay["identical"] else "DIVERGED"
-    print(
-        f"  replay: {replay['steps']} seeded moves under both cores -> {status}"
-    )
-
     for n in sizes:
-        row: Dict = {}
-        for core in CORES:
-            state = build_state(n, core=core)
-            crow: Dict = {}
-            for kind in kinds:
-                rate = bench_kind(state, kind, moves_per_kind, repeats=repeats)
-                crow[kind] = rate
-                rate_s = f"{rate:>10.0f}" if rate is not None else "       n/a"
-                print(
-                    f"  N={n:<4} {core:<6} {kind:<18} {rate_s} moves/sec",
-                    flush=True,
-                )
-            crow["mixed_anneal"] = bench_mixed(state, mixed_steps, repeats=repeats)
-            print(
-                f"  N={n:<4} {core:<6} {'mixed_anneal':<18} "
-                f"{crow['mixed_anneal']['moves_per_sec']:>10.0f} moves/sec"
-            )
-            row[core] = crow
-        batched = bench_mixed_batched(
-            build_state(n, core="array"), mixed_steps, repeats=repeats
+        state = build_state(n)
+        serial: Dict = {}
+        for kind in kinds:
+            rate = bench_kind(state, kind, moves_per_kind, repeats=repeats)
+            serial[kind] = rate
+            rate_s = f"{rate:>10.0f}" if rate is not None else "       n/a"
+            print(f"  N={n:<4} {kind:<18} {rate_s} moves/sec", flush=True)
+        serial["mixed_anneal"] = bench_mixed(state, mixed_steps, repeats=repeats)
+        print(
+            f"  N={n:<4} {'mixed_anneal':<18} "
+            f"{serial['mixed_anneal']['moves_per_sec']:>10.0f} moves/sec"
         )
+        # Keyed "array" after the placement core it measures, so the
+        # per-kind registry metrics continue their trajectory.
+        row: Dict = {"array": serial}
+        batched = bench_mixed_batched(build_state(n), mixed_steps, repeats=repeats)
         row["array_batched_mixed"] = batched
         speedup = batched["moves_per_sec"] / BASELINE_MIXED_MOVES_PER_SEC_N50
         row["mixed_speedup_vs_baseline"] = round(speedup, 2)
         print(
-            f"  N={n:<4} {'array':<6} {'batched_mixed':<18} "
+            f"  N={n:<4} {'batched_mixed':<18} "
             f"{batched['moves_per_sec']:>10.0f} moves/sec "
             f"({speedup:.1f}x committed N=50 baseline)"
         )
@@ -542,7 +486,7 @@ def run(sizes, moves_per_kind: int, mixed_steps: int, repeats: int = 3) -> Dict:
 
 
 def _registry_payload(results: Dict, sizes, quick: bool) -> Dict:
-    """Flatten the gate-size row into per-kind, per-core registry
+    """Flatten the gate-size row into per-kind registry
     metrics so ``python -m repro qor gate --bench moves_per_sec`` can
     gate each one against the rolling history."""
     gate_key = str(GATE_SIZE) if str(GATE_SIZE) in results["sizes"] else str(
@@ -558,7 +502,6 @@ def _registry_payload(results: Dict, sizes, quick: bool) -> Dict:
         "profiler_overhead_pct": results["telemetry_overhead"][
             "profiler_overhead_pct"
         ],
-        "replay_identical": results["replay"]["identical"],
         "mixed_speedup_vs_baseline": row["mixed_speedup_vs_baseline"],
         "best_mixed_moves_per_sec": max(
             r["array_batched_mixed"]["moves_per_sec"]
@@ -568,15 +511,12 @@ def _registry_payload(results: Dict, sizes, quick: bool) -> Dict:
             "moves_per_sec"
         ],
     }
-    for core in CORES:
-        payload[f"{core}_mixed_moves_per_sec"] = row[core]["mixed_anneal"][
-            "moves_per_sec"
-        ]
-        for kind in ("displace", "displace_inverted", "swap", "pin_group",
-                     "reject"):
-            rate = row[core].get(kind)
-            if rate is not None:
-                payload[f"{core}_{kind}_moves_per_sec"] = rate
+    serial = row["array"]
+    payload["array_mixed_moves_per_sec"] = serial["mixed_anneal"]["moves_per_sec"]
+    for kind in ("displace", "displace_inverted", "swap", "pin_group", "reject"):
+        rate = serial.get(kind)
+        if rate is not None:
+            payload[f"array_{kind}_moves_per_sec"] = rate
     return payload
 
 
@@ -612,7 +552,7 @@ def main(argv=None) -> int:
 
     print(
         f"moves/sec benchmark: sizes={sizes}, {moves_per_kind} moves/kind, "
-        f"best of {repeats}, both cores"
+        f"best of {repeats}"
     )
     results = run(sizes, moves_per_kind, mixed_steps, repeats=repeats)
     results["quick"] = args.quick
@@ -633,11 +573,10 @@ def main(argv=None) -> int:
                 "quick",
                 "best_mixed_moves_per_sec",
                 "array_batched_mixed_moves_per_sec",
-                "object_mixed_moves_per_sec",
+                "array_mixed_moves_per_sec",
                 "mixed_speedup_vs_baseline",
                 "null_overhead_pct",
                 "profiler_overhead_pct",
-                "replay_identical",
             )
         }
         for h in history
@@ -646,13 +585,6 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output} ({len(history)} recorded runs for this config)")
 
     failed = False
-    if not results["replay"]["identical"]:
-        print(
-            "FAIL: array core diverged from the object core on the seeded "
-            f"replay at step {results['replay']['first_divergence']['step']}: "
-            f"{results['replay']['first_divergence']}"
-        )
-        failed = True
     if args.quick:
         # CI smoke gates: the disabled-telemetry hot loop must stay within
         # MAX_NULL_OVERHEAD_PCT of the untraced baseline, and the batched

@@ -59,7 +59,7 @@ def main() -> None:
     circuit = build_circuit()
     base = TimberWolfConfig.smoke(seed=args.seed)
     if args.mover == "batched":
-        base = replace(base, core="array", mover="batched")
+        base = replace(base, mover="batched")
     print(f"placing {circuit} (seed {args.seed}, mover {args.mover})")
 
     serial = run(circuit, base, "serial (1 chain)")

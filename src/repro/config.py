@@ -34,20 +34,24 @@ DRIFT_ACTIONS = ("warn", "resync", "raise")
 SELECTOR_DS = "ds"
 SELECTOR_DR = "dr"
 
-#: Stage-1 placement cores: the original object-graph inner loop or the
-#: struct-of-arrays kernel (same decisions and costs on seeded replays).
-CORES = ("object", "array")
-
 #: Cooling schedules: the paper's Tables 1/2, or the VPR-style
 #: acceptance-ratio-driven schedule (alpha and the displacement window
 #: both follow the measured r_accept).
 COOLING_SCHEDULES = ("table", "adaptive")
 
-#: Stage-1 move drivers: "serial" steps one Metropolis move at a time
-#: (bit-identical across cores); "batched" evaluates PARSAC-style
-#: synchronous sweeps on the array kernel (same schedule and
+#: Stage-1 move drivers: "serial" steps one Metropolis move at a time;
+#: "batched" evaluates PARSAC-style synchronous sweeps (same schedule and
 #: accounting, a different — QoR-parity-gated — move stream).
 MOVERS = ("serial", "batched")
+
+
+def check_core(core: str) -> None:
+    """Reject any placement core but "array" (also used by ``JobSpec``)."""
+    if core != "array":
+        raise ValueError(
+            f"core must be 'array', got {core!r}: the object placement "
+            "core was removed"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,16 @@ class TimberWolfConfig:
     kappa: float = 5.0
     mu: float = 0.03
     selector: str = SELECTOR_DS
-    #: Stage-1 inner-loop implementation: "array" (struct-of-arrays
-    #: kernel, the default) or "object" (the original object graph).
-    #: Both replay identically move-for-move at the same seed.
+    #: Placement core.  "array" is the only one; the field stays so
+    #: existing configs and checkpoints that name it keep loading.
     core: str = "array"
     #: "table" follows the paper's Tables 1/2; "adaptive" drives alpha
     #: and the displacement window from the measured acceptance ratio.
     cooling: str = "table"
     #: Stage-1 move driver: "serial" (one move per Metropolis step) or
-    #: "batched" (synchronous sweeps on the array kernel; requires
-    #: ``core="array"``).  Batched runs resume bit-for-bit against
-    #: themselves but are QoR-parity-gated against serial, not
-    #: bit-identical to it.
+    #: "batched" (synchronous vectorized sweeps).  Batched runs resume
+    #: bit-for-bit against themselves but are QoR-parity-gated against
+    #: serial, not bit-identical to it.
     mover: str = "serial"
     #: Proposals evaluated per batched sweep (ignored by the serial
     #: mover).
@@ -124,10 +126,6 @@ class TimberWolfConfig:
     max_temperatures: int = 240
     refine_attempts_per_cell: int = 0  # 0 = same as attempts_per_cell
     profile: ModulationProfile = field(default_factory=ModulationProfile)
-    #: Wrap each flow stage in a cProfile span and emit a ``profile``
-    #: trace event per stage.  Only takes effect when the run is traced
-    #: (an enabled tracer is installed); costs nothing otherwise.
-    enable_profiling: bool = False
     #: Reconcile the incremental C1/C2/C3 accumulators against a full
     #: recomputation every N temperature steps (0 disables the audit).
     drift_check_every: int = 0
@@ -152,8 +150,7 @@ class TimberWolfConfig:
             raise ValueError("mu must lie in (0, 1]")
         if self.selector not in (SELECTOR_DS, SELECTOR_DR):
             raise ValueError(f"unknown selector {self.selector!r}")
-        if self.core not in CORES:
-            raise ValueError(f"core must be one of {CORES}, got {self.core!r}")
+        check_core(self.core)
         if self.cooling not in COOLING_SCHEDULES:
             raise ValueError(
                 f"cooling must be one of {COOLING_SCHEDULES}, "
@@ -162,12 +159,6 @@ class TimberWolfConfig:
         if self.mover not in MOVERS:
             raise ValueError(
                 f"mover must be one of {MOVERS}, got {self.mover!r}"
-            )
-        if self.mover == "batched" and self.core != "array":
-            raise ValueError(
-                "mover='batched' requires core='array': the batched "
-                "sweep kernel runs on the struct-of-arrays core only "
-                "(pass --core array or drop --mover batched)"
             )
         if self.batch_moves < 1:
             raise ValueError("batch_moves must be at least 1")

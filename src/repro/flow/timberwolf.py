@@ -26,7 +26,7 @@ from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointManager, CheckpointPolicy
 from ..resilience.control import RunControl
 from ..resilience.interrupt import trap_signals
-from ..telemetry import MemorySink, Tracer, profiled, use_tracer
+from ..telemetry import MemorySink, Tracer, use_tracer
 
 
 @dataclass
@@ -301,7 +301,6 @@ def _run_flow(
     # the historical random.Random(config.seed) one.
     rng = random.Random(spawn_seed(config.seed, 0))
     multichain = config.parallel.chains > 1 or parallel_resume is not None
-    prof = config.enable_profiling
     obs = ObsClient()
     with tracer.span(
         "flow",
@@ -318,7 +317,7 @@ def _run_flow(
             )
         else:
             obs.stage("stage1", chains=config.parallel.chains)
-            with tracer.span("stage1"), profiled("stage1", prof, tracer):
+            with tracer.span("stage1"):
                 if multichain:
                     # Deferred import: multiprocessing machinery, only
                     # touched when K > 1 chains are requested.
@@ -363,7 +362,7 @@ def _run_flow(
                 tracer.event("stage2.skipped", reason="budget")
         elif config.refinement_passes > 0:
             obs.stage("stage2", passes=config.refinement_passes)
-            with tracer.span("stage2"), profiled("stage2", prof, tracer):
+            with tracer.span("stage2"):
                 refinement = run_refinement(
                     circuit, stage1, config, rng,
                     control=control, start_pass=start_pass,
@@ -383,7 +382,6 @@ def _restore_stage2(
     and position ``rng`` at the captured pass boundary."""
     # Deferred import: stage1 internals, only touched on the resume path.
     from ..annealing.engine import AnnealResult, TemperatureStats
-    from ..placement.arraycore import make_placement_state
     from ..placement.stage1 import _core_plan, stage1_cooling
 
     summary = payload["stage1"]
@@ -392,7 +390,7 @@ def _restore_stage2(
     # adaptive feedback state of the finished stage-1 anneal is
     # irrelevant here.
     _, limiter = stage1_cooling(plan, config)
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+    state = PlacementState(circuit, plan, kappa=config.kappa)
     state.load_state_dict(payload["state"])
     anneal = AnnealResult(
         final_cost=summary["anneal_final_cost"],

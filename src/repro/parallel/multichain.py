@@ -49,9 +49,9 @@ from ..annealing import AnnealCursor, Annealer, AnnealResult
 from ..annealing.engine import TemperatureStats
 from ..config import TimberWolfConfig
 from ..netlist import Circuit, dumps, loads
-from ..placement.arraycore import make_placement_state
 from ..placement.batch import BatchAnnealingState, BatchMoveGenerator
 from ..placement.moves import MoveGenerator, PlacementAnnealingState
+from ..placement.state import PlacementState
 from ..placement.stage1 import (
     Stage1Result,
     _core_plan,
@@ -93,9 +93,7 @@ class ChainContext:
         rng = random.Random(spawn_seed(config.seed, chain_id))
         plan = _core_plan(circuit, config, None)
         schedule, self.limiter = stage1_cooling(plan, config)
-        self.state = make_placement_state(
-            config.core, circuit, plan, kappa=config.kappa
-        )
+        self.state = PlacementState(circuit, plan, kappa=config.kappa)
         self.cursor: Optional[AnnealCursor] = None
         self.done = False
         self.stop_reason: Optional[str] = None
@@ -619,7 +617,7 @@ def run_multichain_stage1(
     # backends, so the result cannot depend on where the chain ran.
     plan = _core_plan(circuit, config, control)
     _, limiter = stage1_cooling(plan, config)
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+    state = PlacementState(circuit, plan, kappa=config.kappa)
     state.load_state_dict(entry["state"])
     steps = (
         [TemperatureStats(*s) for s in entry["cursor"]["steps"]]

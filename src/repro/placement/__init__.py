@@ -1,10 +1,5 @@
 """Stage-1 placement and stage-2 refinement of TimberWolfMC."""
 
-from .arraycore import (
-    PLACEMENT_CORES,
-    ArrayPlacementState,
-    make_placement_state,
-)
 from .batch import BatchAnnealingState, BatchKernel, BatchMoveGenerator
 from .compact import compact
 from .legalize import raw_overlap, remove_overlaps
@@ -14,9 +9,6 @@ from .stage1 import Stage1Result, calibrate_p2, run_stage1
 from .state import CellRecord, PlacementState, world_side
 
 __all__ = [
-    "PLACEMENT_CORES",
-    "ArrayPlacementState",
-    "make_placement_state",
     "BatchAnnealingState",
     "BatchKernel",
     "BatchMoveGenerator",

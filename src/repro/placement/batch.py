@@ -1,11 +1,10 @@
 """Batched move proposal/acceptance over the struct-of-arrays mirror.
 
-The serial array kernel (``ArrayPlacementState``) replays the object
-core bit-for-bit, but each move still pays interpreter overhead for a
-few dozen scalar operations — a hard floor around 10^4 moves/sec.  This
-module is the throughput path: it evaluates *batches* of displacement
-and interchange proposals with vectorized numpy C1/C2 delta evaluation
-and accepts each proposal with the Metropolis rule.
+The serial hot path of ``PlacementState`` pays interpreter overhead for
+a few dozen scalar operations per move — a hard floor around 10^4
+moves/sec.  This module is the throughput path: it evaluates *batches*
+of displacement and interchange proposals with vectorized numpy C1/C2
+delta evaluation and accepts each proposal with the Metropolis rule.
 
 Semantics (synchronous batched SA, PARSAC-style)
 ------------------------------------------------
@@ -59,7 +58,7 @@ import numpy as np
 from ..annealing.engine import AnnealingState
 from ..qor.heartbeat import current_heartbeat
 from ..telemetry import MetricsRegistry
-from .arraycore import ArrayPlacementState
+from .state import PlacementState
 
 __all__ = ["BatchKernel", "BatchMoveGenerator", "BatchAnnealingState"]
 
@@ -70,7 +69,7 @@ BATCH_KINDS = ("displace_batch", "interchange_batch")
 class BatchKernel:
     """Vectorized displacement / interchange batches over an array state."""
 
-    def __init__(self, state: ArrayPlacementState) -> None:
+    def __init__(self, state: PlacementState) -> None:
         self.state = state
         self._active = False
         #: Reusable scratch arrays keyed by (call site, shape): batch
@@ -786,7 +785,7 @@ class BatchMoveGenerator:
 
     def __init__(
         self,
-        state: ArrayPlacementState,
+        state: PlacementState,
         limiter,
         r_ratio: float = 10.0,
         batch: int = 48,
@@ -878,7 +877,7 @@ class BatchAnnealingState(AnnealingState):
     HEARTBEAT_EVERY = 64
 
     def __init__(
-        self, state: ArrayPlacementState, generator: BatchMoveGenerator
+        self, state: PlacementState, generator: BatchMoveGenerator
     ) -> None:
         self.state = state
         self.generator = generator

@@ -93,7 +93,7 @@ class UniformGridIndex:
     def update_coords(
         self, item: Hashable, x1: float, y1: float, x2: float, y2: float
     ) -> None:
-        """:meth:`update` from raw coordinates — the array-core hot path
+        """:meth:`update` from raw coordinates — the placement hot path
         re-bins straight from its flat bbox mirrors, skipping the ``Rect``
         construction (and its validation) entirely."""
         inv = self._inv

@@ -31,7 +31,6 @@ from ..netlist import Circuit
 from ..resilience.drift import DriftGuard
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
-from .arraycore import make_placement_state
 from .batch import BatchAnnealingState, BatchMoveGenerator
 from .moves import MoveGenerator, PlacementAnnealingState
 from .state import PlacementState
@@ -206,7 +205,7 @@ def run_stage1(
     plan = _core_plan(circuit, config, control)
     schedule, limiter = stage1_cooling(plan, config)
 
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+    state = PlacementState(circuit, plan, kappa=config.kappa)
     cursor: Optional[AnnealCursor] = None
     if resume is not None:
         # p2 and the placement come from the snapshot; the calibration

@@ -11,20 +11,56 @@ incrementally:
 * ``C3`` — the pin-site capacity penalty of Eqns 10-11 for custom cells.
 
 Moves are applied through ``move_cell`` / ``swap_cells`` /
-``move_pin_group``, each of which returns the cost delta and a snapshot
-token that ``restore`` undoes exactly (no float drift on rejection).
+``move_pin_group`` (plus the aspect-inverted variants), each of which
+returns the cost delta and an :class:`ArraySnapshot` that ``restore``
+undoes exactly (no float drift on rejection).
+
+Two layers
+----------
+
+The authoring / IO layer is the object model: ``records`` (one
+:class:`CellRecord` per cell), ``TileSet`` shapes, and name-keyed pin
+dicts.  Construction, ``state_dict``, legalization, and every cold
+accessor work on it.
+
+The per-move hot path works on a struct-of-arrays mirror instead:
+
+* cell geometry     — flat parallel lists of expanded bounding boxes and
+  (for multi-tile cells) per-tile coordinate tuples,
+* pin positions     — one flat coordinate pair per pin, indexed by a
+  per-cell slot table instead of name-keyed dicts,
+* net incidence     — integer net ids with flat member-pin-id lists,
+  weights, and spans,
+* variant caches    — per-(instance|aspect, orientation) oriented-bbox
+  and pin-offset tuples, flattened once from the object-model caches.
+
+``rebuild()`` refills the mirror from the records, so every cold entry
+point (``randomize``, ``load_state_dict``, legalization,
+``set_static_expansions``) leaves it valid; the move methods write both
+the mirror and the authoritative ``records``.
+
+Correctness contract
+--------------------
+
+The incremental accumulators equal ``rebuild()`` and
+``cost_breakdown_fresh()`` to rounding after any move/restore sequence.
+Both are from-scratch evaluations over the ``TileSet`` geometry (an
+all-pairs overlap loop, ``weighted_length`` per net) and share none of
+the incremental code.  Within the hot path every accumulation runs in
+an order that is a function of the placement alone (see
+``_apply_pair``), so a checkpoint-resumed run replays bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..estimator import CorePlan
 from ..geometry import BOTTOM, LEFT, RIGHT, TOP, Rect, TileSet
 from ..geometry import orientation as ori
-from ..netlist import Circuit, CustomCell, MacroCell, Net
+from ..netlist import Circuit, CustomCell, MacroCell
 from .spatial import UniformGridIndex
 
 #: Default kappa of Eqn 10 — drives pin-site overflow to zero late in stage 1.
@@ -83,8 +119,6 @@ class CellRecord:
     pin_sites: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
     def copy(self) -> "CellRecord":
-        # Manual field copy: dataclasses.replace() is measurably slower
-        # and this runs inside every snapshot.
         return CellRecord(
             self.center,
             self.orientation,
@@ -94,26 +128,51 @@ class CellRecord:
         )
 
 
-@dataclass(slots=True)
-class _Snapshot:
-    """Everything needed to restore the state after a rejected move."""
+class ArraySnapshot:
+    """Undo token of one move: plain scalars and short lists.
 
-    cost_before: float
-    records: Dict[int, CellRecord]
-    shapes: Dict[int, TileSet]
-    expanded: Dict[int, TileSet]
-    pins: Dict[int, Dict[str, Tuple[float, float]]]
-    net_spans: Dict[str, Tuple[float, float]]
-    overlaps: Dict[Tuple[int, int], float]
-    borders: Dict[int, float]
-    c3: Dict[int, float]
-    c1: float
-    c2_raw: float
-    c3_total: float
-    #: False for moves that cannot change any cell geometry (pin-group
-    #: reassignment): shapes, the grid, borders, and overlaps are known
-    #: unchanged, so snapshot and restore skip them entirely.
-    geometry: bool = True
+    ``kind`` selects the restore path: 0 = single-cell geometry move,
+    1 = pair interchange, 2 = pin-group reassignment (no geometry saved).
+    """
+
+    __slots__ = (
+        "kind",
+        "cost_before",
+        "cells",
+        "recs",
+        "ebbs",
+        "exp_refs",
+        "shape_refs",
+        "pins",
+        "spans",
+        "overlaps",
+        "borders",
+        "c3s",
+        "pin_site",
+        "c1",
+        "c2_raw",
+        "c3_total",
+    )
+
+    def __init__(self, kind, cost_before, cells, recs, ebbs, exp_refs,
+                 shape_refs, pins, spans, overlaps, borders, c3s, pin_site,
+                 c1, c2_raw, c3_total):
+        self.kind = kind
+        self.cost_before = cost_before
+        self.cells = cells
+        self.recs = recs
+        self.ebbs = ebbs
+        self.exp_refs = exp_refs
+        self.shape_refs = shape_refs
+        self.pins = pins
+        self.spans = spans
+        self.overlaps = overlaps
+        self.borders = borders
+        self.c3s = c3s
+        self.pin_site = pin_site
+        self.c1 = c1
+        self.c2_raw = c2_raw
+        self.c3_total = c3_total
 
 
 class PlacementState:
@@ -185,9 +244,8 @@ class PlacementState:
                 self._groups.append(groups)
             else:
                 self._groups.append([])
-        # Inverse lookup, idx -> {pin name -> (group key, member index)}:
-        # _group_of sits on the refresh hot path (every uncommitted pin,
-        # every move), so the membership scan is precomputed once.
+        # Inverse lookup, idx -> {pin name -> (group key, member index)},
+        # precomputed once for the pin-offset builder.
         self._pin_group_of: List[Dict[str, Tuple[str, int]]] = [
             {
                 pin: (key, k)
@@ -210,26 +268,40 @@ class PlacementState:
         # Placement records: default everything at the core center.
         self.records: List[CellRecord] = [self._default_record(i) for i in range(n)]
 
-        # Memoized oriented local shapes and (macro) world-frame pin
-        # offsets: a displacement changes neither, so the per-move work
-        # reduces to one translation.  Keys are (instance|aspect,
-        # orientation); custom-cell aspect ratios are continuous, so
-        # those caches are bounded (cleared when they grow past
-        # _SHAPE_CACHE_LIMIT entries).
+        # Memoized oriented local shapes and world-frame pin offsets: a
+        # displacement changes neither, so the per-move work reduces to
+        # one translation.  Keys are (instance|aspect, orientation[,
+        # pin sites]); custom-cell aspect ratios are continuous, so those
+        # caches are bounded (cleared when they grow past the limit).
         self._shape_cache: List[Dict[Tuple, TileSet]] = [dict() for _ in range(n)]
         self._pin_offset_cache: List[
             Dict[Tuple, Dict[str, Tuple[float, float]]]
         ] = [dict() for _ in range(n)]
         self._c3_cache: List[Dict[Tuple, float]] = [dict() for _ in range(n)]
+        self._build_incidence()
 
-        # Caches and cost accumulators, built by rebuild().
+        # Object-model geometry, built by rebuild().  The hot path leaves
+        # both entries of a moved cell stale (None) — only the flat
+        # mirror feeds the cost terms — and the accessors materialize
+        # them on demand.
         self._shapes: List[TileSet] = [None] * n  # type: ignore[list-item]
         self._expanded: List[TileSet] = [None] * n  # type: ignore[list-item]
-        self._pins: List[Dict[str, Tuple[float, float]]] = [dict() for _ in range(n)]
-        self._net_spans: Dict[str, Tuple[float, float]] = {}
+        # The flat mirror, filled by rebuild(): expanded bboxes, tiles
+        # (None for single-tile cells: the bbox *is* the tile), pin
+        # coordinates, and net spans.
+        self._lex1: List[float] = [0.0] * n
+        self._ley1: List[float] = [0.0] * n
+        self._lex2: List[float] = [0.0] * n
+        self._ley2: List[float] = [0.0] * n
+        self._ltiles: List[Optional[Tuple]] = [None] * n
+        self._lpx: List[float] = [0.0] * self._num_pins
+        self._lpy: List[float] = [0.0] * self._num_pins
+        self._lsx: List[float] = [0.0] * len(self._net_names)
+        self._lsy: List[float] = [0.0] * len(self._net_names)
+        self._stat4: List[Tuple[float, float, float, float]] = []
         self._overlaps: Dict[Tuple[int, int], float] = {}
         #: idx -> indices it currently overlaps (mirror of _overlaps, so
-        #: snapshot/restore touch only actual partners).
+        #: moves and restores touch only actual partners).
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         #: Broad-phase index over expanded-cell bboxes (built by rebuild).
         self._grid: UniformGridIndex = UniformGridIndex(1.0)
@@ -288,6 +360,83 @@ class PlacementState:
         return {
             s: (counts[s] / side_len[s]) if side_len[s] > 0 else 0.0 for s in _SIDES
         }
+
+    def _build_incidence(self) -> None:
+        """Immutable flat incidence structure: pin slots, net ids,
+        per-orientation densities, border slabs."""
+        n = len(self.names)
+        circuit = self.circuit
+
+        # Flat pin slots: per-cell contiguous ranges in cell.pins order
+        # (the iteration order _pin_positions builds its dicts in).
+        self._pin_start: List[int] = []
+        self._pin_count: List[int] = []
+        self._pin_names: List[Tuple[str, ...]] = []
+        self._pin_slot: List[Dict[str, int]] = []
+        total = 0
+        for i in range(n):
+            names = tuple(self.cell(i).pins)
+            self._pin_start.append(total)
+            self._pin_count.append(len(names))
+            self._pin_names.append(names)
+            self._pin_slot.append(
+                {name: total + k for k, name in enumerate(names)}
+            )
+            total += len(names)
+        self._num_pins = total
+
+        # Net ids in circuit.nets order; members as flat pin ids.
+        self._net_names: List[str] = list(circuit.nets)
+        self._nid: Dict[str, int] = {
+            name: e for e, name in enumerate(self._net_names)
+        }
+        self._nmem: List[List[int]] = []
+        self._nh: List[float] = []
+        self._nv: List[float] = []
+        for name in self._net_names:
+            net = circuit.nets[name]
+            self._nmem.append(
+                [self._pin_slot[idx][pin] for idx, pin in self._net_members[name]]
+            )
+            self._nh.append(net.h_weight)
+            self._nv.append(net.v_weight)
+        #: Rank of each net id under name ordering: pair moves visit
+        #: their nets sorted by rank (see _apply_pair).
+        self._nrank: List[int] = [0] * len(self._net_names)
+        for rank, name in enumerate(sorted(self._net_names)):
+            self._nrank[self._nid[name]] = rank
+        self._cnets: List[List[int]] = [
+            [self._nid[name] for name in self._cell_nets[i]] for i in range(n)
+        ]
+
+        # Macro side densities resolved per orientation (static data).
+        self._dens8: List[Optional[Tuple[Tuple, ...]]] = []
+        for i in range(n):
+            dens = self._side_density[i]
+            if dens is None:
+                self._dens8.append(None)
+            else:
+                self._dens8.append(
+                    tuple(
+                        (
+                            dens[_SIDE_MAP_INV[o][LEFT]],
+                            dens[_SIDE_MAP_INV[o][BOTTOM]],
+                            dens[_SIDE_MAP_INV[o][RIGHT]],
+                            dens[_SIDE_MAP_INV[o][TOP]],
+                        )
+                        for o in range(8)
+                    )
+                )
+        self._slab4: Tuple[Tuple[float, float, float, float], ...] = tuple(
+            (s.x1, s.y1, s.x2, s.y2) for s in self._slabs
+        )
+        self._has_groups: List[bool] = [bool(g) for g in self._groups]
+
+        # Flattened variant caches: (key) -> oriented bbox (+tiles) and
+        # (key) -> pin-offset tuples.  Filled lazily from the object
+        # model's own caches, so the geometry math has a single source.
+        self._g_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
+        self._o_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
 
     # ------------------------------------------------------------------
     # world-frame geometry
@@ -422,31 +571,68 @@ class PlacementState:
             ) from None
 
     # ------------------------------------------------------------------
-    # cost bookkeeping
+    # from-scratch reference
     # ------------------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Recompute every cache and accumulator from the records.
+        """Recompute every cache, mirror, and accumulator from the records.
 
-        This is the from-scratch reference the incremental bookkeeping is
-        tested against, so the overlap pass deliberately stays the plain
-        all-pairs loop (bbox-rejected); the broad-phase grid and the
-        adjacency map are rebuilt alongside it.
+        This is the from-scratch reference the incremental move path is
+        tested against, and it shares none of that path's code: geometry
+        comes from the ``TileSet`` math, spans from a plain min/max scan,
+        and the overlap pass deliberately stays the all-pairs loop
+        (bbox-rejected); the broad-phase grid and the adjacency map are
+        rebuilt alongside it.
         """
         n = len(self.names)
+        lpx = self._lpx
+        lpy = self._lpy
         for i in range(n):
             world = self._world_shape(i)
+            exp = self._expanded_shape(i, world)
             self._shapes[i] = world
-            self._expanded[i] = self._expanded_shape(i, world)
-            self._pins[i] = self._pin_positions(i)
+            self._expanded[i] = exp
+            bb = exp.bbox
+            self._lex1[i] = bb.x1
+            self._ley1[i] = bb.y1
+            self._lex2[i] = bb.x2
+            self._ley2[i] = bb.y2
+            tiles = exp._tiles
+            self._ltiles[i] = (
+                None
+                if len(tiles) == 1
+                else tuple((t.x1, t.y1, t.x2, t.y2) for t in tiles)
+            )
+            pins = self._pin_positions(i)
+            for p, name in enumerate(self._pin_names[i], self._pin_start[i]):
+                lpx[p], lpy[p] = pins[name]
             self._c3[i] = self._cell_c3(i)
-        self._net_spans = {
-            net.name: self._net_span(net) for net in self.circuit.nets.values()
-        }
-        self._c1 = sum(
-            self.circuit.nets[name].weighted_length(xs, ys)
-            for name, (xs, ys) in self._net_spans.items()
-        )
+        self._c1 = 0.0
+        for e, net in enumerate(self.circuit.nets.values()):
+            span_x = span_y = 0.0
+            members = self._nmem[e]
+            if members:
+                x_lo = x_hi = lpx[members[0]]
+                y_lo = y_hi = lpy[members[0]]
+                for p in members:
+                    x_lo = min(x_lo, lpx[p])
+                    x_hi = max(x_hi, lpx[p])
+                    y_lo = min(y_lo, lpy[p])
+                    y_hi = max(y_hi, lpy[p])
+                span_x = x_hi - x_lo
+                span_y = y_hi - y_lo
+            self._lsx[e] = span_x
+            self._lsy[e] = span_y
+            self._c1 += net.weighted_length(span_x, span_y)
+        self._stat4 = [
+            (
+                static.get(LEFT, 0.0),
+                static.get(BOTTOM, 0.0),
+                static.get(RIGHT, 0.0),
+                static.get(TOP, 0.0),
+            )
+            for static in self._static
+        ]
         self._grid = UniformGridIndex.for_bboxes(
             [shape.bbox for shape in self._expanded]
         )
@@ -456,10 +642,10 @@ class PlacementState:
         self._adj = [set() for _ in range(n)]
         self._c2_raw = 0.0
         for i in range(n):
-            self._borders[i] = self._border_overlap(i)
+            self._borders[i] = self._border_overlap(self._expanded[i])
             self._c2_raw += self._borders[i]
             for j in range(i + 1, n):
-                area = self._pair_overlap(i, j)
+                area = self._expanded[i].overlap_area(self._expanded[j])
                 if area > 0.0:
                     self._overlaps[(i, j)] = area
                     self._adj[i].add(j)
@@ -467,32 +653,7 @@ class PlacementState:
                     self._c2_raw += area
         self._c3_total = sum(self._c3)
 
-    def _net_span(self, net: Net) -> Tuple[float, float]:
-        pins = self._pins
-        members = self._net_members[net.name]
-        if not members:
-            return (0.0, 0.0)
-        x, y = pins[members[0][0]][members[0][1]]
-        x_lo = x_hi = x
-        y_lo = y_hi = y
-        for idx, pin_name in members:
-            x, y = pins[idx][pin_name]
-            if x < x_lo:
-                x_lo = x
-            elif x > x_hi:
-                x_hi = x
-            if y < y_lo:
-                y_lo = y
-            elif y > y_hi:
-                y_hi = y
-        return (x_hi - x_lo, y_hi - y_lo)
-
-    def _pair_overlap(self, i: int, j: int) -> float:
-        return self._expanded[i].overlap_area(self._expanded[j])
-
-    def _border_overlap(self, idx: int, exp: Optional[TileSet] = None) -> float:
-        if exp is None:
-            exp = self._expanded[idx]
+    def _border_overlap(self, exp: TileSet) -> float:
         bbox = exp.bbox
         core = self.core
         # The slabs tile the plane outside the core, so a shape whose
@@ -549,8 +710,63 @@ class PlacementState:
         cache[sig] = penalty
         return penalty
 
+    def cost_breakdown_fresh(self) -> Tuple[float, float, float]:
+        """(C1, C2_raw, C3) recomputed from the records, read-only —
+        the reference the drift guard reconciles the accumulators
+        against.  Touches none of the incremental bookkeeping."""
+        n = len(self.names)
+        expanded = [
+            self._expanded_shape(i, self._world_shape(i)) for i in range(n)
+        ]
+        pins = [self._pin_positions(i) for i in range(n)]
+        c1 = 0.0
+        for net in self.circuit.nets.values():
+            members = self._net_members[net.name]
+            if not members:
+                continue
+            x, y = pins[members[0][0]][members[0][1]]
+            x_lo = x_hi = x
+            y_lo = y_hi = y
+            for idx, pin_name in members:
+                x, y = pins[idx][pin_name]
+                x_lo = min(x_lo, x)
+                x_hi = max(x_hi, x)
+                y_lo = min(y_lo, y)
+                y_hi = max(y_hi, y)
+            c1 += net.weighted_length(x_hi - x_lo, y_hi - y_lo)
+        c2 = 0.0
+        for i in range(n):
+            c2 += self._border_overlap(expanded[i])
+            for j in range(i + 1, n):
+                c2 += expanded[i].overlap_area(expanded[j])
+        c3 = sum(self._cell_c3(i) for i in range(n))
+        return c1, c2, c3
+
+    def cost_drift(self) -> Dict[str, float]:
+        """Accumulated-minus-fresh difference of each cost term, plus
+        the largest difference normalized by the term's magnitude."""
+        fresh_c1, fresh_c2, fresh_c3 = self.cost_breakdown_fresh()
+        pairs = (
+            (self._c1 - fresh_c1, fresh_c1),
+            (self._c2_raw - fresh_c2, fresh_c2),
+            (self._c3_total - fresh_c3, fresh_c3),
+        )
+        return {
+            "c1": pairs[0][0],
+            "c2_raw": pairs[1][0],
+            "c3": pairs[2][0],
+            "max_relative": max(
+                abs(diff) / max(1.0, abs(ref)) for diff, ref in pairs
+            ),
+        }
+
+    def resync(self) -> None:
+        """Snap the accumulators back to canonical from-scratch values."""
+        self.rebuild()
+
     # ------------------------------------------------------------------
-    # cost queries
+    # cost queries and accessors (the flat mirror is always current; the
+    # object-model shapes of moved cells are materialized on demand)
     # ------------------------------------------------------------------
 
     def c1(self) -> float:
@@ -570,17 +786,22 @@ class PlacementState:
 
     def teil(self) -> float:
         """Total estimated interconnect length: the TEIC with unit weights."""
-        return sum(xs + ys for xs, ys in self._net_spans.values())
+        lsy = self._lsy
+        return sum(sx + lsy[e] for e, sx in enumerate(self._lsx))
 
     def net_spans(self) -> Dict[str, Tuple[float, float]]:
-        """name -> (x span, y span) of every net — the public accessor
-        (subclasses may keep the span bookkeeping elsewhere)."""
-        return dict(self._net_spans)
+        """name -> (x span, y span) of every net."""
+        return {
+            name: (self._lsx[e], self._lsy[e])
+            for e, name in enumerate(self._net_names)
+        }
 
     def chip_bbox(self) -> Rect:
         """Bounding box of the expanded cells — the chip outline including
         the interconnect area the estimator reserved."""
-        return Rect.bounding(s.bbox for s in self._expanded)
+        return Rect(
+            min(self._lex1), min(self._ley1), max(self._lex2), max(self._ley2)
+        )
 
     def chip_area(self) -> float:
         return self.chip_bbox().area
@@ -589,240 +810,306 @@ class PlacementState:
         idx = self.index[name]
         shape = self._shapes[idx]
         if shape is None:
-            # _refresh_cells leaves the world shape stale (only the
-            # expanded shape feeds the cost terms); materialize on demand.
             shape = self._shapes[idx] = self._world_shape(idx)
         return shape
 
     def expanded_shape(self, name: str) -> TileSet:
-        return self._expanded[self.index[name]]
+        idx = self.index[name]
+        exp = self._expanded[idx]
+        if exp is None:
+            exp = self._expanded[idx] = self._materialize_expanded(idx)
+        return exp
+
+    def _materialize_expanded(self, idx: int) -> TileSet:
+        bbox = Rect(self._lex1[idx], self._ley1[idx], self._lex2[idx], self._ley2[idx])
+        tiles = self._ltiles[idx]
+        rects = [bbox] if tiles is None else [Rect(*t) for t in tiles]
+        out = TileSet.__new__(TileSet)
+        out._tiles = tuple(rects)
+        out._bbox = bbox
+        out._area = sum(r.area for r in rects)
+        return out
 
     def pin_position(self, cell_name: str, pin_name: str) -> Tuple[float, float]:
-        return self._pins[self.index[cell_name]][pin_name]
+        p = self._pin_slot[self.index[cell_name]][pin_name]
+        return (self._lpx[p], self._lpy[p])
 
     def moves_per_iteration(self) -> int:
         return len(self.names)
 
     # ------------------------------------------------------------------
-    # snapshotting
+    # variant caches (flattened views over the object-model caches)
     # ------------------------------------------------------------------
 
-    def _take_snapshot(
-        self, idxs: Sequence[int], geometry: bool = True
-    ) -> _Snapshot:
-        overlaps: Dict[Tuple[int, int], float] = {}
-        spans = self._net_spans
-        if len(idxs) == 1:
-            # The single-cell path (every displacement): _cell_nets
-            # entries are duplicate-free, so no set building, and the
-            # per-cell maps are one-entry dict literals.
-            i = idxs[0]
-            if geometry:
-                current = self._overlaps
-                for j in self._adj[i]:
-                    key = (i, j) if i < j else (j, i)
-                    overlaps[key] = current[key]
-            return _Snapshot(
-                self.cost(),
-                {i: self.records[i].copy()},
-                {i: self._shapes[i]},
-                {i: self._expanded[i]},
-                {i: self._pins[i]},
-                {name: spans[name] for name in self._cell_nets[i]},
-                overlaps,
-                {i: self._borders[i]},
-                {i: self._c3[i]},
-                self._c1,
-                self._c2_raw,
-                self._c3_total,
-                geometry,
+    def _geom_flat(self, i: int, key: Tuple) -> Tuple:
+        """(ox1, oy1, ox2, oy2, local_tiles|None) of the oriented shape."""
+        cache = self._g_flat[i]
+        entry = cache.get(key)
+        if entry is None:
+            if len(cache) >= _PIN_CACHE_LIMIT:
+                cache.clear()
+            ts = self._oriented_shape(i)
+            bb = ts.bbox
+            tiles = ts._tiles
+            entry = (
+                bb.x1,
+                bb.y1,
+                bb.x2,
+                bb.y2,
+                None
+                if len(tiles) == 1
+                else tuple((t.x1, t.y1, t.x2, t.y2) for t in tiles),
             )
-        idx_set = set(idxs)
-        nets = {name for i in idx_set for name in self._cell_nets[i]}
-        # Only actual overlap partners are recorded (the adjacency map
-        # mirrors _overlaps exactly); restore reconstructs both from it.
-        if geometry:
-            for i in idx_set:
-                for j in self._adj[i]:
-                    key = (i, j) if i < j else (j, i)
-                    if key not in overlaps:
-                        overlaps[key] = self._overlaps[key]
-        return _Snapshot(
-            cost_before=self.cost(),
-            records={i: self.records[i].copy() for i in idx_set},
-            shapes={i: self._shapes[i] for i in idx_set},
-            expanded={i: self._expanded[i] for i in idx_set},
-            pins={i: self._pins[i] for i in idx_set},
-            net_spans={name: self._net_spans[name] for name in nets},
-            overlaps=overlaps,
-            borders={i: self._borders[i] for i in idx_set},
-            c3={i: self._c3[i] for i in idx_set},
-            c1=self._c1,
-            c2_raw=self._c2_raw,
-            c3_total=self._c3_total,
-            geometry=geometry,
+            cache[key] = entry
+        return entry
+
+    def _offsets_flat(self, i: int, key: Tuple) -> Tuple[Tuple, Tuple]:
+        """Pin offsets in slot order, as (xs, ys) tuples."""
+        cache = self._o_flat[i]
+        entry = cache.get(key)
+        if entry is None:
+            if len(cache) >= _PIN_CACHE_LIMIT:
+                cache.clear()
+            source = self._pin_offset_cache[i]
+            offsets = source.get(key)
+            if offsets is None:
+                # Populate the object-model cache (its dict iterates in
+                # cell.pins order — the same order as the slots).
+                self._pin_positions(i)
+                offsets = source[key]
+            entry = (
+                tuple(wx for wx, _ in offsets.values()),
+                tuple(wy for _, wy in offsets.values()),
+            )
+            cache[key] = entry
+        return entry
+
+    def _variant_keys(self, i: int):
+        """(geometry key, pin-offset key) for cell i's current record —
+        the same keys the object-model caches use."""
+        rec = self.records[i]
+        if self._is_macro[i]:
+            gkey = (rec.instance, rec.orientation)
+            return gkey, gkey
+        gkey = (rec.aspect_ratio, rec.orientation)
+        return gkey, (
+            rec.aspect_ratio,
+            rec.orientation,
+            tuple(rec.pin_sites.values()),
         )
 
-    def restore(self, snap: _Snapshot) -> None:
-        if not snap.geometry:
-            # The move could not have touched shapes, the grid, borders,
-            # or overlaps — only pins, spans, and the pin-site penalty.
-            for i, record in snap.records.items():
-                self.records[i] = record
-                self._pins[i] = snap.pins[i]
-                self._c3[i] = snap.c3[i]
-            self._net_spans.update(snap.net_spans)
-            self._c1 = snap.c1
-            self._c3_total = snap.c3_total
-            return
-        adj = self._adj
-        overlaps = self._overlaps
-        # Remove every current overlap entry touching the snapped cells
-        # (the adjacency map lists exactly those), then put back the
-        # saved ones and their adjacency edges.  adj[i] is not mutated
-        # while it is iterated (cells are never self-adjacent), so no
-        # defensive copy is needed.
-        for i in snap.records:
-            ai = adj[i]
-            for j in ai:
-                overlaps.pop((i, j) if i < j else (j, i), None)
-                adj[j].discard(i)
-            ai.clear()
-        overlaps.update(snap.overlaps)
-        for i, j in snap.overlaps:
-            adj[i].add(j)
-            adj[j].add(i)
-        for i, record in snap.records.items():
-            self.records[i] = record
-            self._shapes[i] = snap.shapes[i]
-            self._expanded[i] = snap.expanded[i]
-            self._grid.update(i, snap.expanded[i].bbox)
-            self._pins[i] = snap.pins[i]
-            self._borders[i] = snap.borders[i]
-            self._c3[i] = snap.c3[i]
-        self._net_spans.update(snap.net_spans)
-        self._c1 = snap.c1
-        self._c2_raw = snap.c2_raw
-        self._c3_total = snap.c3_total
-
     # ------------------------------------------------------------------
-    # applying changes
+    # hot-path helpers
     # ------------------------------------------------------------------
 
-    def _refresh_cells(self, idxs: Sequence[int], geometry: bool = True) -> None:
-        """Recompute caches and cost accumulators for the given cells.
-
-        ``geometry=False`` is the pin-group fast path: the move touched
-        only pin-site assignments, so shapes, the grid, borders, and
-        overlaps are unchanged by construction and skipped wholesale.
-        """
-        # Multi-cell refreshes iterate in sorted order everywhere floats
-        # are accumulated: the summation order must be a function of the
-        # placement alone (not of set insertion history or string hash
-        # seeds), or a checkpoint-resumed process would accumulate the
-        # same deltas in a different order and drift off the original
-        # run's trajectory by ULPs.
-        if len(idxs) == 1:
-            idx_set: Sequence[int] = idxs
-            members: Optional[Set[int]] = None
-            nets: Iterable[str] = self._cell_nets[idxs[0]]
+    def _cell_geometry(self, i: int):
+        """New expanded bbox (+tiles) for cell i's current record: the
+        oriented bbox, ``side_expansions`` on the translated bbox, and
+        the composed translate+expand arithmetic."""
+        rec = self.records[i]
+        gkey, _ = self._variant_keys(i)
+        ox1, oy1, ox2, oy2, ltiles = self._geom_flat(i, gkey)
+        cx, cy = rec.center
+        if self.dynamic_expansion:
+            dens = self._dens8[i]
+            if dens is None:
+                dl = db = dr = dt = None
+            else:
+                dl, db, dr, dt = dens[rec.orientation]
+            left, bottom, right, top = self.estimator.side_expansions(
+                ox1 + cx, oy1 + cy, ox2 + cx, oy2 + cy, dl, db, dr, dt
+            )
         else:
-            members = set(idxs)
-            idx_set = sorted(members)
-            nets = sorted({name for i in idx_set for name in self._cell_nets[i]})
-        for i in idx_set:
-            if geometry:
-                # The world (translated, unexpanded) shape is not needed
-                # by any cost term — leave it stale and let world_shape()
-                # materialize it on demand.  The expanded set is built in
-                # one pass from the cached oriented shape; the composed
-                # arithmetic matches translate-then-expand exactly.
-                oriented = self._oriented_shape(i)
-                cx, cy = self.records[i].center
-                obb = oriented.bbox
-                left, bottom, right, top = self._expansions(
-                    i, obb.x1 + cx, obb.y1 + cy, obb.x2 + cx, obb.y2 + cy
-                )
-                expanded = oriented.translated_expanded(
-                    cx, cy, left, bottom, right, top
-                )
-                self._shapes[i] = None
-                self._expanded[i] = expanded
-                self._grid.update(i, expanded.bbox)
-            self._pins[i] = self._pin_positions(i)
-            if self._groups[i]:
-                new_c3 = self._cell_c3(i)
-                self._c3_total += new_c3 - self._c3[i]
-                self._c3[i] = new_c3
-        # Net spans of every net touching a refreshed cell.  The delta is
-        # accumulated with weighted_length's exact expression inlined
-        # ((x*h + y*v), then the subtraction).
-        circuit_nets = self.circuit.nets
-        spans = self._net_spans
-        for name in nets:
-            net = circuit_nets[name]
-            old_x, old_y = spans[name]
-            new = self._net_span(net)
-            spans[name] = new
-            h = net.h_weight
-            v = net.v_weight
-            self._c1 += (new[0] * h + new[1] * v) - (old_x * h + old_y * v)
-        if not geometry:
-            return
-        # Overlaps touching refreshed cells.  The broad phase: the grid's
-        # candidates cover every cell the new bbox may intersect (gained
-        # overlaps), and the adjacency map lists the current partners
-        # (overlaps that may vanish); anything outside the union cannot
-        # change its pair term.
-        overlaps = self._overlaps
+            left, bottom, right, top = self._stat4[i]
+        if ltiles is None:
+            return (
+                (ox1 + cx) - left,
+                (oy1 + cy) - bottom,
+                (ox2 + cx) + right,
+                (oy2 + cy) + top,
+                None,
+            )
+        tiles = tuple(
+            (
+                (tx1 + cx) - left,
+                (ty1 + cy) - bottom,
+                (tx2 + cx) + right,
+                (ty2 + cy) + top,
+            )
+            for tx1, ty1, tx2, ty2 in ltiles
+        )
+        return (
+            min(t[0] for t in tiles),
+            min(t[1] for t in tiles),
+            max(t[2] for t in tiles),
+            max(t[3] for t in tiles),
+            tiles,
+        )
+
+    def _border_flat(self, x1, y1, x2, y2, tiles) -> float:
+        """Border-slab overlap of an expanded cell given as flat coordinates."""
+        core = self.core
+        if x1 >= core.x1 and x2 <= core.x2 and y1 >= core.y1 and y2 <= core.y2:
+            return 0.0
+        if tiles is None:
+            tiles = ((x1, y1, x2, y2),)
+        total = 0.0
+        for sx1, sy1, sx2, sy2 in self._slab4:
+            if not (x1 < sx2 and sx1 < x2 and y1 < sy2 and sy1 < y2):
+                continue
+            for tx1, ty1, tx2, ty2 in tiles:
+                w = min(tx2, sx2) - max(tx1, sx1)
+                if w <= 0.0:
+                    continue
+                h = min(ty2, sy2) - max(ty1, sy1)
+                if h <= 0.0:
+                    continue
+                total += w * h
+        return total
+
+    def _pair_area_flat(self, x1, y1, x2, y2, tiles_i, j) -> float:
+        """Narrow-phase overlap of the (already bbox-accepted) pair, with
+        cell i's tiles outermost."""
+        tiles_j = self._ltiles[j]
+        if tiles_i is None and tiles_j is None:
+            jx2 = self._lex2[j]
+            jy2 = self._ley2[j]
+            return (min(x2, jx2) - max(x1, self._lex1[j])) * (
+                min(y2, jy2) - max(y1, self._ley1[j])
+            )
+        a = ((x1, y1, x2, y2),) if tiles_i is None else tiles_i
+        b = (
+            ((self._lex1[j], self._ley1[j], self._lex2[j], self._ley2[j]),)
+            if tiles_j is None
+            else tiles_j
+        )
+        total = 0.0
+        for tx1, ty1, tx2, ty2 in a:
+            for ux1, uy1, ux2, uy2 in b:
+                w = min(tx2, ux2) - max(tx1, ux1)
+                if w <= 0.0:
+                    continue
+                h = min(ty2, uy2) - max(ty1, uy1)
+                if h <= 0.0:
+                    continue
+                total += w * h
+        return total
+
+    def _span_delta(self, net_ids, saved_spans) -> None:
+        """Recompute spans of ``net_ids`` (in the given order) and
+        accumulate the C1 delta."""
+        lpx = self._lpx
+        lpy = self._lpy
+        lsx = self._lsx
+        lsy = self._lsy
+        nh = self._nh
+        nv = self._nv
+        c1 = self._c1
+        for e in net_ids:
+            mem = self._nmem[e]
+            if mem:
+                xs = [lpx[p] for p in mem]
+                ys = [lpy[p] for p in mem]
+                new_x = max(xs) - min(xs)
+                new_y = max(ys) - min(ys)
+            else:
+                new_x = new_y = 0.0
+            old_x = lsx[e]
+            old_y = lsy[e]
+            saved_spans.append((e, old_x, old_y))
+            lsx[e] = new_x
+            lsy[e] = new_y
+            h = nh[e]
+            v = nv[e]
+            c1 += (new_x * h + new_y * v) - (old_x * h + old_y * v)
+        self._c1 = c1
+
+    def _partner_delta(self, i, x1, y1, x2, y2, tiles, skip, saved_over) -> None:
+        """Border + partner-pair C2 delta for cell i: border first, then
+        grid candidates ∪ adjacency in index order, with pair moves
+        skipping the already-handled twin.
+
+        The grid candidates cover every cell the new bbox may intersect
+        (gained overlaps) and the adjacency lists the current partners
+        (overlaps that may vanish); no other pair term can change.
+        """
+        old_border = self._borders[i]
+        new_border = self._border_flat(x1, y1, x2, y2, tiles)
+        self._borders[i] = new_border
+        c2 = self._c2_raw + (new_border - old_border)
+        partners = self._grid.candidates(i)
         adj = self._adj
-        expanded = self._expanded
-        for i in idx_set:
-            old_border = self._borders[i]
-            new_border = self._border_overlap(i)
-            self._borders[i] = new_border
-            self._c2_raw += new_border - old_border
-            partners = self._grid.candidates(i)
-            partners |= adj[i]
-            exp_i = expanded[i]
-            single_i = len(exp_i._tiles) == 1
-            bbox_i = exp_i.bbox
-            bx1, by1, bx2, by2 = bbox_i.x1, bbox_i.y1, bbox_i.x2, bbox_i.y2
-            # sorted(): the c2 accumulation order over partners must not
-            # depend on the candidate set's insertion history (see above).
-            for j in sorted(partners):
-                if members is not None and j in members and j < i:
-                    continue  # pair handled once
-                key = (i, j) if i < j else (j, i)
-                old = overlaps.pop(key, 0.0)
-                exp_j = expanded[j]
-                bbox_j = exp_j.bbox
-                # Inline bbox reject (touching boxes share no area, so
-                # >=/<= is exact) before the tile-level narrow phase.
-                if (
-                    bbox_j.x1 >= bx2
-                    or bbox_j.x2 <= bx1
-                    or bbox_j.y1 >= by2
-                    or bbox_j.y2 <= by1
-                ):
-                    new = 0.0
-                elif single_i and len(exp_j._tiles) == 1:
-                    # Single-tile pair: the bbox carries the same floats
-                    # as the sole tile, so this is Rect.overlap_area
-                    # verbatim (w > 0 and h > 0 follow from the reject).
-                    new = (min(bx2, bbox_j.x2) - max(bx1, bbox_j.x1)) * (
-                        min(by2, bbox_j.y2) - max(by1, bbox_j.y1)
-                    )
-                else:
-                    new = exp_i.overlap_area(exp_j)
-                if new > 0.0:
-                    overlaps[key] = new
-                    adj[i].add(j)
-                    adj[j].add(i)
-                elif old > 0.0:
-                    adj[i].discard(j)
-                    adj[j].discard(i)
-                self._c2_raw += new - old
+        ai = adj[i]
+        if ai:
+            partners |= ai
+        overlaps = self._overlaps
+        lex1 = self._lex1
+        ley1 = self._ley1
+        lex2 = self._lex2
+        ley2 = self._ley2
+        for j in sorted(partners):
+            if skip is not None and j in skip and j < i:
+                continue
+            key = (i, j) if i < j else (j, i)
+            old = overlaps.pop(key, 0.0)
+            # Bbox reject (touching boxes share no area, so >=/<= is
+            # exact) before the tile-level narrow phase.
+            if (
+                lex1[j] >= x2
+                or lex2[j] <= x1
+                or ley1[j] >= y2
+                or ley2[j] <= y1
+            ):
+                new = 0.0
+            else:
+                new = self._pair_area_flat(x1, y1, x2, y2, tiles, j)
+            if new > 0.0:
+                overlaps[key] = new
+                ai.add(j)
+                adj[j].add(i)
+            elif old > 0.0:
+                ai.discard(j)
+                adj[j].discard(i)
+            c2 += new - old
+            saved_over.append((i, j, old))
+        self._c2_raw = c2
+
+    def _commit_geometry(self, i, x1, y1, x2, y2, tiles) -> None:
+        self._lex1[i] = x1
+        self._ley1[i] = y1
+        self._lex2[i] = x2
+        self._ley2[i] = y2
+        self._ltiles[i] = tiles
+        self._shapes[i] = None
+        self._expanded[i] = None  # type: ignore[call-overload]
+        self._grid.update_coords(i, x1, y1, x2, y2)
+
+    def _commit_pins(self, i) -> None:
+        rec = self.records[i]
+        _, okey = self._variant_keys(i)
+        offx, offy = self._offsets_flat(i, okey)
+        cx, cy = rec.center
+        lpx = self._lpx
+        lpy = self._lpy
+        start = self._pin_start[i]
+        for k in range(self._pin_count[i]):
+            lpx[start + k] = cx + offx[k]
+            lpy[start + k] = cy + offy[k]
+
+    def _commit_c3(self, i) -> None:
+        if self._has_groups[i]:
+            new_c3 = self._cell_c3(i)
+            self._c3_total += new_c3 - self._c3[i]
+            self._c3[i] = new_c3
+
+    def _save_pins(self, i) -> Tuple[List[float], List[float]]:
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        return (self._lpx[start:end], self._lpy[start:end])
+
+    # ------------------------------------------------------------------
+    # moves
+    # ------------------------------------------------------------------
 
     def move_cell(
         self,
@@ -831,45 +1118,149 @@ class PlacementState:
         orientation: Optional[int] = None,
         instance: Optional[int] = None,
         aspect_ratio: Optional[float] = None,
-    ) -> Tuple[float, _Snapshot]:
+    ) -> Tuple[float, ArraySnapshot]:
         """Apply a single-cell change; returns (cost delta, snapshot)."""
-        snap = self._take_snapshot([idx])
-        record = self.records[idx]
-        if center is not None:
-            record.center = center
-        if orientation is not None:
-            record.orientation = orientation
-        if instance is not None:
-            record.instance = instance
-        if aspect_ratio is not None:
-            record.aspect_ratio = aspect_ratio
-        self._refresh_cells([idx])
-        return (self.cost() - snap.cost_before, snap)
+        rec = self.records[idx]
+        return self._apply_single(
+            idx,
+            rec.center if center is None else center,
+            rec.orientation if orientation is None else orientation,
+            rec.instance if instance is None else instance,
+            rec.aspect_ratio if aspect_ratio is None else aspect_ratio,
+            invert=False,
+        )
 
-    def swap_cells(self, i: int, j: int) -> Tuple[float, _Snapshot]:
-        """Interchange the centers of two cells (Eqn-free §3.2.1 A2)."""
+    def move_cell_inverted(
+        self, idx: int, center: Tuple[float, float]
+    ) -> Tuple[float, ArraySnapshot]:
+        """Displace with the aspect ratio inverted (§3.2.1's second attempt:
+        macro cells rotate 90 degrees, custom cells invert their ratio)."""
+        rec = self.records[idx]
+        return self._apply_single(
+            idx, center, rec.orientation, rec.instance, rec.aspect_ratio,
+            invert=True,
+        )
+
+    def _apply_single(
+        self, i, new_center, new_o, new_inst, new_ar, invert
+    ) -> Tuple[float, ArraySnapshot]:
+        rec = self.records[i]
+        cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        snap = ArraySnapshot(
+            0,
+            cost_before,
+            i,
+            (rec.center, rec.orientation, rec.instance, rec.aspect_ratio),
+            (
+                self._lex1[i],
+                self._ley1[i],
+                self._lex2[i],
+                self._ley2[i],
+                self._ltiles[i],
+            ),
+            self._expanded[i],
+            self._shapes[i],
+            self._save_pins(i),
+            [],
+            [],
+            self._borders[i],
+            self._c3[i],
+            None,
+            self._c1,
+            self._c2_raw,
+            self._c3_total,
+        )
+        rec.center = new_center
+        rec.orientation = new_o
+        rec.instance = new_inst
+        rec.aspect_ratio = new_ar
+        if invert:
+            self._invert_record_aspect(i)
+        x1, y1, x2, y2, tiles = self._cell_geometry(i)
+        self._commit_geometry(i, x1, y1, x2, y2, tiles)
+        self._commit_pins(i)
+        self._commit_c3(i)
+        self._span_delta(self._cnets[i], snap.spans)
+        self._partner_delta(i, x1, y1, x2, y2, tiles, None, snap.overlaps)
+        cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        return (cost - cost_before, snap)
+
+    def swap_cells(self, i: int, j: int) -> Tuple[float, ArraySnapshot]:
+        """Interchange the centers of two cells (§3.2.1 A2)."""
         if i == j:
             raise ValueError("cannot swap a cell with itself")
-        snap = self._take_snapshot([i, j])
-        ci, cj = self.records[i].center, self.records[j].center
-        self.records[i].center = cj
-        self.records[j].center = ci
-        self._refresh_cells([i, j])
-        return (self.cost() - snap.cost_before, snap)
+        return self._apply_pair(i, j, invert=False)
 
-    def swap_cells_inverted(self, i: int, j: int) -> Tuple[float, _Snapshot]:
+    def swap_cells_inverted(self, i: int, j: int) -> Tuple[float, ArraySnapshot]:
         """Interchange with both cells' aspect ratios inverted (the retry
         of §3.2.1 when the plain interchange is rejected)."""
         if i == j:
             raise ValueError("cannot swap a cell with itself")
-        snap = self._take_snapshot([i, j])
+        return self._apply_pair(i, j, invert=True)
+
+    def _apply_pair(self, i, j, invert) -> Tuple[float, ArraySnapshot]:
+        # Every float accumulation below runs in an order that depends on
+        # the placement alone — ascending cell index, nets by name,
+        # partners by index — never on set insertion history or string
+        # hash seeds, or a checkpoint-resumed process would accumulate the
+        # same deltas in a different order and drift off the original
+        # run's trajectory by ULPs.
+        a, b = (i, j) if i < j else (j, i)
+        ra, rb = self.records[a], self.records[b]
+        cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        snap = ArraySnapshot(
+            1,
+            cost_before,
+            (a, b),
+            (
+                (ra.center, ra.orientation, ra.instance, ra.aspect_ratio),
+                (rb.center, rb.orientation, rb.instance, rb.aspect_ratio),
+            ),
+            (
+                (self._lex1[a], self._ley1[a], self._lex2[a], self._ley2[a],
+                 self._ltiles[a]),
+                (self._lex1[b], self._ley1[b], self._lex2[b], self._ley2[b],
+                 self._ltiles[b]),
+            ),
+            (self._expanded[a], self._expanded[b]),
+            (self._shapes[a], self._shapes[b]),
+            (self._save_pins(a), self._save_pins(b)),
+            [],
+            [],
+            (self._borders[a], self._borders[b]),
+            (self._c3[a], self._c3[b]),
+            None,
+            self._c1,
+            self._c2_raw,
+            self._c3_total,
+        )
         ci, cj = self.records[i].center, self.records[j].center
         self.records[i].center = cj
         self.records[j].center = ci
-        for k in (i, j):
-            self._invert_record_aspect(k)
-        self._refresh_cells([i, j])
-        return (self.cost() - snap.cost_before, snap)
+        if invert:
+            self._invert_record_aspect(i)
+            self._invert_record_aspect(j)
+        # Loop 1 — geometry, pins, C3, in ascending cell order.
+        geoms = {}
+        for k in (a, b):
+            x1, y1, x2, y2, tiles = self._cell_geometry(k)
+            self._commit_geometry(k, x1, y1, x2, y2, tiles)
+            geoms[k] = (x1, y1, x2, y2, tiles)
+            self._commit_pins(k)
+            self._commit_c3(k)
+        # Loop 2 — net spans in name-sorted order.
+        net_ids = set(self._cnets[a])
+        net_ids.update(self._cnets[b])
+        rank = self._nrank
+        self._span_delta(sorted(net_ids, key=rank.__getitem__), snap.spans)
+        # Loop 3 — borders and partners, ascending cell order; the (a, b)
+        # pair itself is evaluated once, in a's partner loop.
+        skip = (a, b)
+        for k in (a, b):
+            x1, y1, x2, y2, tiles = geoms[k]
+            self._partner_delta(k, x1, y1, x2, y2, tiles, skip, snap.overlaps)
+        cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        return (cost - cost_before, snap)
 
     def _invert_record_aspect(self, idx: int) -> None:
         record = self.records[idx]
@@ -880,30 +1271,124 @@ class PlacementState:
         else:
             record.orientation = ori.aspect_inverting_orientation(record.orientation)
 
-    def move_cell_inverted(
-        self, idx: int, center: Tuple[float, float]
-    ) -> Tuple[float, _Snapshot]:
-        """Displace with the aspect ratio inverted (§3.2.1's second attempt:
-        macro cells rotate 90 degrees, custom cells invert their ratio)."""
-        snap = self._take_snapshot([idx])
-        self.records[idx].center = center
-        self._invert_record_aspect(idx)
-        self._refresh_cells([idx])
-        return (self.cost() - snap.cost_before, snap)
-
     def move_pin_group(
         self, idx: int, group_key: str, side: str, start: int
-    ) -> Tuple[float, _Snapshot]:
+    ) -> Tuple[float, ArraySnapshot]:
         """Reassign an uncommitted pin group to new sites (§2.4).
 
         Pin sites live on the cell boundary: the move cannot change the
         cell's shape or expansion, so the geometry bookkeeping (grid,
         borders, overlaps) is skipped on both the apply and restore side.
         """
-        snap = self._take_snapshot([idx], geometry=False)
-        self.records[idx].pin_sites[group_key] = (side, start)
-        self._refresh_cells([idx], geometry=False)
-        return (self.cost() - snap.cost_before, snap)
+        rec = self.records[idx]
+        cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        snap = ArraySnapshot(
+            2,
+            cost_before,
+            idx,
+            None,
+            None,
+            None,
+            None,
+            self._save_pins(idx),
+            [],
+            None,
+            None,
+            self._c3[idx],
+            (group_key, rec.pin_sites[group_key]),
+            self._c1,
+            self._c2_raw,
+            self._c3_total,
+        )
+        rec.pin_sites[group_key] = (side, start)
+        self._commit_pins(idx)
+        self._commit_c3(idx)
+        self._span_delta(self._cnets[idx], snap.spans)
+        cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
+        return (cost - cost_before, snap)
+
+    # ------------------------------------------------------------------
+    # restore
+    # ------------------------------------------------------------------
+
+    def _restore_pins(self, i, saved) -> None:
+        xs, ys = saved
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        self._lpx[start:end] = xs
+        self._lpy[start:end] = ys
+
+    def _restore_spans(self, spans) -> None:
+        lsx = self._lsx
+        lsy = self._lsy
+        for e, sx, sy in spans:
+            lsx[e] = sx
+            lsy[e] = sy
+
+    def _restore_overlaps(self, saved) -> None:
+        overlaps = self._overlaps
+        adj = self._adj
+        for i, j, old in saved:
+            key = (i, j) if i < j else (j, i)
+            if old > 0.0:
+                overlaps[key] = old
+                adj[i].add(j)
+                adj[j].add(i)
+            else:
+                overlaps.pop(key, None)
+                adj[i].discard(j)
+                adj[j].discard(i)
+
+    def _restore_cell(self, i, rec_tuple, ebb, exp_ref, shape_ref) -> None:
+        rec = self.records[i]
+        rec.center, rec.orientation, rec.instance, rec.aspect_ratio = rec_tuple
+        x1, y1, x2, y2, tiles = ebb
+        self._lex1[i] = x1
+        self._ley1[i] = y1
+        self._lex2[i] = x2
+        self._ley2[i] = y2
+        self._ltiles[i] = tiles
+        self._expanded[i] = exp_ref
+        self._shapes[i] = shape_ref
+        self._grid.update_coords(i, x1, y1, x2, y2)
+
+    def restore(self, snap: ArraySnapshot) -> None:
+        """Undo the move that returned ``snap`` (bit-exact)."""
+        kind = snap.kind
+        if kind == 2:
+            i = snap.cells
+            key, site = snap.pin_site
+            self.records[i].pin_sites[key] = site
+            self._restore_pins(i, snap.pins)
+            self._restore_spans(snap.spans)
+            self._c3[i] = snap.c3s
+            self._c1 = snap.c1
+            self._c3_total = snap.c3_total
+            return
+        if kind == 0:
+            i = snap.cells
+            self._restore_cell(i, snap.recs, snap.ebbs, snap.exp_refs,
+                               snap.shape_refs)
+            self._restore_pins(i, snap.pins)
+            self._borders[i] = snap.borders
+            self._c3[i] = snap.c3s
+        else:
+            a, b = snap.cells
+            self._restore_cell(a, snap.recs[0], snap.ebbs[0],
+                               snap.exp_refs[0], snap.shape_refs[0])
+            self._restore_cell(b, snap.recs[1], snap.ebbs[1],
+                               snap.exp_refs[1], snap.shape_refs[1])
+            self._restore_pins(a, snap.pins[0])
+            self._restore_pins(b, snap.pins[1])
+            self._borders[a] = snap.borders[0]
+            self._borders[b] = snap.borders[1]
+            self._c3[a] = snap.c3s[0]
+            self._c3[b] = snap.c3s[1]
+        self._restore_spans(snap.spans)
+        self._restore_overlaps(snap.overlaps)
+        self._c1 = snap.c1
+        self._c2_raw = snap.c2_raw
+        self._c3_total = snap.c3_total
 
     def set_static_expansions(
         self, expansions: Dict[str, Dict[str, float]]
@@ -918,7 +1403,7 @@ class PlacementState:
         self.rebuild()
 
     # ------------------------------------------------------------------
-    # checkpointing and auditing
+    # checkpointing
     # ------------------------------------------------------------------
 
     def state_dict(self) -> Dict:
@@ -986,60 +1471,6 @@ class PlacementState:
         self._c1 = accumulators["c1"]
         self._c2_raw = accumulators["c2_raw"]
         self._c3_total = accumulators["c3_total"]
-
-    def cost_breakdown_fresh(self) -> Tuple[float, float, float]:
-        """(C1, C2_raw, C3) recomputed from the records, read-only —
-        the reference the drift guard reconciles the accumulators
-        against.  Touches none of the incremental bookkeeping."""
-        n = len(self.names)
-        expanded = [
-            self._expanded_shape(i, self._world_shape(i)) for i in range(n)
-        ]
-        pins = [self._pin_positions(i) for i in range(n)]
-        c1 = 0.0
-        for net in self.circuit.nets.values():
-            members = self._net_members[net.name]
-            if not members:
-                continue
-            x, y = pins[members[0][0]][members[0][1]]
-            x_lo = x_hi = x
-            y_lo = y_hi = y
-            for idx, pin_name in members:
-                x, y = pins[idx][pin_name]
-                x_lo = min(x_lo, x)
-                x_hi = max(x_hi, x)
-                y_lo = min(y_lo, y)
-                y_hi = max(y_hi, y)
-            c1 += net.weighted_length(x_hi - x_lo, y_hi - y_lo)
-        c2 = 0.0
-        for i in range(n):
-            c2 += self._border_overlap(i, expanded[i])
-            for j in range(i + 1, n):
-                c2 += expanded[i].overlap_area(expanded[j])
-        c3 = sum(self._cell_c3(i) for i in range(n))
-        return c1, c2, c3
-
-    def cost_drift(self) -> Dict[str, float]:
-        """Accumulated-minus-fresh difference of each cost term, plus
-        the largest difference normalized by the term's magnitude."""
-        fresh_c1, fresh_c2, fresh_c3 = self.cost_breakdown_fresh()
-        pairs = (
-            (self._c1 - fresh_c1, fresh_c1),
-            (self._c2_raw - fresh_c2, fresh_c2),
-            (self._c3_total - fresh_c3, fresh_c3),
-        )
-        return {
-            "c1": pairs[0][0],
-            "c2_raw": pairs[1][0],
-            "c3": pairs[2][0],
-            "max_relative": max(
-                abs(diff) / max(1.0, abs(ref)) for diff, ref in pairs
-            ),
-        }
-
-    def resync(self) -> None:
-        """Snap the accumulators back to canonical from-scratch values."""
-        self.rebuild()
 
     # ------------------------------------------------------------------
     # initial placement

@@ -199,7 +199,11 @@ class RouteSelector:
                 self._uninstall(net)
                 self._install(net, k)
                 accepted += 1
-                stagnant = 0
+                # Only a strict drop in X or L resets the count (the
+                # paper stops once both are unchanged for M * N
+                # attempts): a zero-delta switch would otherwise let a
+                # net flip between two equal alternatives forever.
+                stagnant = 0 if d_x < 0 or d_len < 0 else stagnant + 1
             else:
                 stagnant += 1
 

@@ -1,7 +1,7 @@
 """Job identity: what a placement job *is*, independent of scheduling.
 
 A :class:`JobSpec` is the flow-level description (which circuit, which
-preset/seed/core) — everything a worker needs to reproduce the run
+preset/seed) — everything a worker needs to reproduce the run
 bit-for-bit.  A :class:`Job` is the queue-level record: the spec plus
 tenant, priority, attempt accounting, and lifecycle state.  The split
 mirrors the registry's circuit-hash/config-hash comparability contract:
@@ -15,6 +15,8 @@ import secrets
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
+
+from ..config import check_core
 
 #: Lifecycle states of a job.
 #:
@@ -47,12 +49,16 @@ class JobSpec:
     circuit: str
     preset: str = "smoke"
     seed: int = 0
+    #: Always "array"; kept because queued rows' ``spec_json`` carry it.
     core: str = "array"
     cooling: str = "table"
     #: Stage-1 checkpoint cadence for the worker (temperature steps).
     #: Small by default: the denser the checkpoints, the less work a
     #: retry replays.
     checkpoint_every: int = 5
+
+    def __post_init__(self) -> None:
+        check_core(self.core)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,9 +1,8 @@
 """Low-overhead sampling profiler: where the anneal's wall-clock goes.
 
-:mod:`repro.telemetry.profiler` wraps a stage in ``cProfile``, which is
-exact but costs tens of percent on the move loop — fine for one-off
-investigation, unusable always-on.  This module is the production
-counterpart: a background thread samples the target thread's stack at a
+``cProfile`` is exact but costs tens of percent on the move loop —
+fine for one-off investigation, unusable always-on.  This module is the
+production profiler instead: a background thread samples the target thread's stack at a
 fixed rate via ``sys._current_frames()`` and aggregates the samples
 into Brendan-Gregg-style *collapsed stacks* (``frame;frame;frame N``),
 the input format of every flamegraph renderer.  Sampling cost is a few
@@ -19,7 +18,7 @@ and works on every platform.
 
 Per-stage attribution falls out of the stacks themselves: every sample
 taken inside stage 1 passes through ``run_stage1`` (and through
-``BatchMoveGenerator`` or the object core's ``MoveGenerator``), router
+``BatchMoveGenerator`` or the serial ``MoveGenerator``), router
 samples pass through ``route``/``m_shortest_routes``, so
 :meth:`SamplingProfiler.attribution` can bucket samples by the
 flow-level frames they contain without any cooperation from the flow.
@@ -55,11 +54,10 @@ STAGE_MARKERS: Tuple[Tuple[str, str], ...] = (
 )
 
 #: Kernel-level frame substrings for hot-path attribution (the
-#: BatchKernel-vs-object-core split the perf docs track).
+#: batched-kernel vs serial-placement-state split the perf docs track).
 KERNEL_MARKERS: Tuple[Tuple[str, str], ...] = (
     ("batch_kernel", "repro.placement.batch"),
-    ("array_core", "repro.placement.array"),
-    ("object_core", "repro.placement.state"),
+    ("placement_state", "repro.placement.state"),
     ("router", "repro.routing"),
     ("annealing", "repro.annealing"),
 )

@@ -187,24 +187,3 @@ class TestDefaultCollection:
             make_macro_circuit(), TimberWolfConfig.smoke(seed=3)
         )
         json.dumps(result.trace_events)
-
-
-class TestProfilingHook:
-    def test_profile_events_behind_flag(self):
-        mem = MemorySink()
-        from dataclasses import replace
-
-        cfg = replace(TimberWolfConfig.smoke(seed=3), enable_profiling=True)
-        place_and_route(make_macro_circuit(), cfg, tracer=Tracer(mem))
-        profiles = [e for e in mem.events if e.get("name") == "profile"]
-        assert {p["profiled"] for p in profiles} == {"stage1", "stage2"}
-        top = profiles[0]["top"]
-        assert top and {"func", "ncalls", "cumtime_s"} <= set(top[0])
-
-    def test_no_profile_events_without_flag(self):
-        mem = MemorySink()
-        place_and_route(
-            make_macro_circuit(), TimberWolfConfig.smoke(seed=3),
-            tracer=Tracer(mem),
-        )
-        assert not [e for e in mem.events if e.get("name") == "profile"]

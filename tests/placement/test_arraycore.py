@@ -1,204 +1,240 @@
-"""Bit-identity and round-trip properties of the array placement core.
+"""The placement hot path against its from-scratch oracle.
 
-``ArrayPlacementState`` is only allowed to exist because it is
-*indistinguishable* from the object core: same accept/reject decisions,
-same cost accumulators, bit for bit, over any move sequence.  These
-tests replay long fixed-seed walks over randomized circuits (macro
-orientations, multi-instance macros, custom cells with grouped and
-sequenced pins) under both cores and compare everything exactly — not
-to a tolerance.  The object<->array conversions must likewise be
-lossless.
+``PlacementState`` applies every move incrementally over a
+struct-of-arrays mirror.  Its only reference is the from-scratch
+evaluation — ``cost_breakdown_fresh()`` and ``rebuild()`` — which shares
+none of the incremental code.  These tests replay long fixed-seed walks
+over randomized circuits (macro orientations, multi-instance macros,
+custom cells with grouped and sequenced pins), covering every move kind
+in both the dynamic (stage-1) and static (stage-2) expansion modes, and
+check that:
+
+* the incremental C1/C2/C3 accumulators agree with the oracle,
+* replaying a walk is deterministic bit for bit,
+* a ``state_dict`` round trip rebuilds the identical mirror, so a
+  resumed run continues on the same trajectory.
 """
 
 import random
 
 import pytest
 
+from repro import TimberWolfConfig
 from repro.annealing import RangeLimiter
 from repro.bench import CircuitSpec, generate_circuit
 from repro.estimator import determine_core
+from repro.geometry import BOTTOM, LEFT, RIGHT, TOP
 from repro.netlist import CustomCell, MacroCell
-from repro.placement import (
-    ArrayPlacementState,
-    BatchMoveGenerator,
-    MoveGenerator,
-    PlacementState,
-    make_placement_state,
-)
-
-from ..conftest import make_mixed_circuit
-from .test_state_properties import mixed_move_sequence
+from repro.placement import BatchMoveGenerator, MoveGenerator, PlacementState
+from repro.placement.moves import MOVE_KINDS
+from repro.service.spec import JobSpec
 
 #: Randomized-circuit population for the property tests: custom-heavy,
 #: macro-only, and the default mix, across sizes and seeds.  The bench
 #: generator emits multi-instance macros (``multi_instance_fraction``)
 #: and custom cells with grouped/sequenced pins, so every snapshot
-#: field of both cores is exercised.
+#: field is exercised.
 SPECS = [
     CircuitSpec(name="prop_a", num_cells=12, num_nets=24, num_pins=60, seed=3,
-                custom_fraction=0.5),
+                custom_fraction=0.5, multi_instance_fraction=0.5),
     CircuitSpec(name="prop_b", num_cells=20, num_nets=40, num_pins=100, seed=5,
                 custom_fraction=0.0, multi_instance_fraction=0.6),
     CircuitSpec(name="prop_c", num_cells=16, num_nets=32, num_pins=80, seed=8,
                 custom_fraction=0.25),
 ]
 
+#: The MoveGenerator walk circuit: macros (some multi-instance) and
+#: custom cells, so the cascade issues every move kind.
+WALK = CircuitSpec(
+    name="walk", num_cells=30, num_nets=60, num_pins=150, seed=2,
+    custom_fraction=0.25, multi_instance_fraction=0.4,
+)
 
-def _pair(spec, seed=0):
-    """The same randomized placement under both cores."""
+SIDES = (LEFT, RIGHT, BOTTOM, TOP)
+
+
+def _state(spec, static=False, seed=0):
+    """A randomized placement; ``static`` switches it to stage-2 mode
+    with seeded per-side margins."""
     circuit = generate_circuit(spec)
-    plan = determine_core(circuit)
-    obj = make_placement_state("object", circuit, plan)
-    arr = make_placement_state("array", circuit, plan)
-    obj.randomize(random.Random(seed))
-    arr.randomize(random.Random(seed))
-    return obj, arr
+    state = PlacementState(circuit, determine_core(circuit))
+    state.randomize(random.Random(seed))
+    if static:
+        rng = random.Random(seed + 1)
+        state.set_static_expansions(
+            {name: {side: rng.uniform(0.0, 3.0) for side in SIDES}
+             for name in state.names}
+        )
+    return state
 
 
-def assert_cost_identical(obj, arr):
-    """The accumulators must agree EXACTLY — no tolerance."""
-    assert arr._c1 == obj._c1
-    assert arr._c2_raw == obj._c2_raw
-    assert arr._c3_total == obj._c3_total
-    assert arr.cost() == obj.cost()
+def _clone(state):
+    """A fresh state rebuilt from ``state``'s checkpoint form."""
+    clone = PlacementState(state.circuit, state.plan, kappa=state.kappa)
+    clone.load_state_dict(state.state_dict())
+    return clone
+
+
+def assert_matches_oracle(state):
+    """Incremental accumulators == cost_breakdown_fresh() == rebuild(),
+    to summation-order rounding."""
+    c1, c2, c3 = state._c1, state._c2_raw, state._c3_total
+    for fresh in (state.cost_breakdown_fresh(), None):
+        if fresh is None:
+            state.rebuild()
+            fresh = (state._c1, state._c2_raw, state._c3_total)
+        assert fresh[0] == pytest.approx(c1, rel=1e-9, abs=1e-6)
+        assert fresh[1] == pytest.approx(c2, rel=1e-9, abs=1e-6)
+        assert fresh[2] == pytest.approx(c3, rel=1e-9, abs=1e-6)
+
+
+def every_kind_sequence(state, steps, seed, span=60.0):
+    """Every state move method — displace, inverted displace, swap,
+    inverted swap, orientation, instance, aspect, pin group — with about
+    half of the moves restored.  Returns the kinds actually issued."""
+    rng = random.Random(seed)
+    n = len(state.names)
+    issued = set()
+    for _ in range(steps):
+        idx = rng.randrange(n)
+        cell = state.cell(idx)
+        kind = rng.randrange(8)
+        target = (rng.uniform(-span, span), rng.uniform(-span, span))
+        before = state.cost()
+        if kind == 1:
+            delta, snap = state.move_cell_inverted(idx, target)
+        elif kind in (2, 3):
+            j = rng.randrange(n - 1)
+            j = j + 1 if j >= idx else j
+            swap = state.swap_cells if kind == 2 else state.swap_cells_inverted
+            delta, snap = swap(idx, j)
+        elif kind == 4:
+            delta, snap = state.move_cell(idx, orientation=rng.randrange(8))
+        elif kind == 5 and isinstance(cell, MacroCell) and cell.num_instances > 1:
+            instance = rng.randrange(cell.num_instances)
+            delta, snap = state.move_cell(idx, instance=instance)
+        elif kind == 6 and isinstance(cell, CustomCell):
+            ar = cell.aspect.clamp(rng.uniform(0.3, 3.0))
+            delta, snap = state.move_cell(idx, aspect_ratio=ar)
+        elif kind == 7 and isinstance(cell, CustomCell) and state._groups[idx]:
+            key, _ = state._groups[idx][rng.randrange(len(state._groups[idx]))]
+            delta, snap = state.move_pin_group(
+                idx, key, SIDES[rng.randrange(4)],
+                rng.randrange(cell.sites_per_edge),
+            )
+        else:
+            kind = 0
+            delta, snap = state.move_cell(idx, center=target)
+        issued.add(kind)
+        assert state.cost() - before == delta
+        if rng.random() < 0.5:
+            state.restore(snap)
+            assert state.cost() == before
+    return issued
 
 
 class TestFactory:
-    def test_make_placement_state_dispatch(self):
-        circuit = make_mixed_circuit()
-        plan = determine_core(circuit)
-        assert type(make_placement_state("object", circuit, plan)) is PlacementState
-        assert isinstance(
-            make_placement_state("array", circuit, plan), ArrayPlacementState
-        )
-
     def test_unknown_core_rejected(self):
-        circuit = make_mixed_circuit()
-        with pytest.raises(ValueError, match="unknown placement core"):
-            make_placement_state("simd", circuit, determine_core(circuit))
+        with pytest.raises(ValueError, match="core must be 'array'"):
+            TimberWolfConfig(core="simd")
+
+    def test_object_core_rejected(self):
+        """Configs and queued job specs naming the removed object core
+        fail loudly instead of silently running the array core."""
+        with pytest.raises(ValueError, match="object placement core was removed"):
+            TimberWolfConfig(core="object")
+        with pytest.raises(ValueError, match="object placement core was removed"):
+            JobSpec(circuit="c.twmc", core="object")
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-    def test_object_array_round_trip_bit_identical(self, spec):
-        """object -> array -> object preserves the full state_dict and
-        the history-exact cost accumulators bit-for-bit, after a long
-        mixed walk has aged the object state's accumulators."""
-        obj, _ = _pair(spec)
-        mixed_move_sequence(obj, 120, seed=13)
-
-        arr = ArrayPlacementState.from_object(obj)
-        assert arr.state_dict() == obj.state_dict()
-        assert_cost_identical(obj, arr)
-
-        back = arr.to_object()
-        assert type(back) is PlacementState
-        assert back.state_dict() == obj.state_dict()
-        assert_cost_identical(obj, back)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_round_trip_after_array_moves(self, spec):
-        """Conversion is lossless in the other direction too: age the
-        ARRAY state with moves, convert back, and compare rebuilt costs
-        and every record field (centers, orientations, instances,
-        aspect ratios, pin sites)."""
-        _, arr = _pair(spec)
-        mixed_move_sequence(arr, 120, seed=17)
-        back = arr.to_object()
-        assert back.state_dict() == arr.state_dict()
-        for ra, rb in zip(arr.records, back.records):
-            assert (ra.center, ra.orientation, ra.instance) == (
-                rb.center,
-                rb.orientation,
-                rb.instance,
-            )
-            assert ra.aspect_ratio == rb.aspect_ratio
-            assert dict(ra.pin_sites) == dict(rb.pin_sites)
-
-    def test_soa_load_soa_round_trip(self):
-        """soa() -> load_soa() reproduces geometry and spans exactly
-        (float64 carries through numpy untouched)."""
-        _, arr = _pair(SPECS[0])
-        mixed_move_sequence(arr, 60, seed=23)
-        view = arr.soa()
-        spans_before = arr.net_spans()
-        records_before = [
-            (r.center, r.orientation, r.instance, r.aspect_ratio)
-            for r in arr.records
-        ]
-        arr.load_soa(view)
-        assert [
-            (r.center, r.orientation, r.instance, r.aspect_ratio)
-            for r in arr.records
-        ] == records_before
-        assert arr.net_spans() == spans_before
+        """Age a state with moves, round-trip it through state_dict into
+        a fresh state, and the rebuilt clone matches bit for bit — and
+        keeps matching as both continue the same walk."""
+        state = _state(spec)
+        every_kind_sequence(state, 120, seed=17)
+        clone = _clone(state)
+        assert clone.state_dict() == state.state_dict()
+        assert clone.net_spans() == state.net_spans()
+        assert clone.chip_bbox() == state.chip_bbox()
+        every_kind_sequence(state, 60, seed=19)
+        every_kind_sequence(clone, 60, seed=19)
+        assert clone.state_dict() == state.state_dict()
 
     def test_soa_views_match_state(self):
-        _, arr = _pair(SPECS[2])
-        view = arr.soa()
-        n = len(arr.names)
-        assert view["centers"].shape == (n, 2)
-        assert view["expanded_bbox"].shape == (n, 4)
-        assert view["pin_xy"].shape[0] == view["pin_cell"].shape[0]
-        for i in range(n):
-            assert tuple(view["centers"][i]) == arr.records[i].center
+        """After a walk, every flat mirror entry equals the value the
+        object model computes from the records."""
+        state = _state(SPECS[2])
+        every_kind_sequence(state, 150, seed=23)
+        for i in range(len(state.names)):
+            exp = state._expanded_shape(i, state._world_shape(i))
+            bbox = (state._lex1[i], state._ley1[i], state._lex2[i], state._ley2[i])
+            assert bbox == (exp.bbox.x1, exp.bbox.y1, exp.bbox.x2, exp.bbox.y2)
+            pins = state._pin_positions(i)
+            for name in state.cell(i).pins:
+                assert state.pin_position(state.names[i], name) == pins[name]
 
 
 class TestReplayIdentity:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_mixed_sequence_cost_identical(self, spec):
-        """The shared mixed move/restore walk (displace, inverted,
-        swap, orientation, pin-group, ~half restored) leaves both cores
-        with bit-identical accumulators, and every per-move delta
-        agrees exactly."""
-        obj, arr = _pair(spec)
-        assert_cost_identical(obj, arr)
-        mixed_move_sequence(obj, 200, seed=0)
-        mixed_move_sequence(arr, 200, seed=0)
-        assert_cost_identical(obj, arr)
+        """The every-kind move/restore walk, in both expansion modes:
+        each delta is exact, each restore returns the cost bit for bit,
+        replaying the walk gives identical accumulators, and they agree
+        with the from-scratch oracle."""
+        for static in (False, True):
+            runs = []
+            for _ in range(2):
+                state = _state(spec, static=static)
+                issued = every_kind_sequence(state, 200, seed=0)
+                runs.append((state._c1, state._c2_raw, state._c3_total))
+            assert runs[0] == runs[1]
+            assert {0, 1, 2, 3, 4} <= issued
+            if spec.custom_fraction:
+                assert {6, 7} <= issued
+            assert_matches_oracle(state)
 
     def test_500_move_generator_walk_identical(self):
-        """ISSUE acceptance property: a seeded 500-move MoveGenerator
-        walk (the real §3.2.1 cascade, metropolis decisions included)
-        replays with identical per-step attempts, accepts, and cost."""
-        spec = CircuitSpec(
-            name="walk", num_cells=30, num_nets=60, num_pins=150, seed=2,
-            custom_fraction=0.25,
-        )
-        traces = {}
-        for core in ("object", "array"):
-            circuit = generate_circuit(spec)
-            plan = determine_core(circuit)
-            state = make_placement_state(core, circuit, plan)
-            state.randomize(random.Random(0))
-            limiter = RangeLimiter(
-                full_span_x=state.core.width,
-                full_span_y=state.core.height,
-                t_infinity=500.0,
-            )
-            generator = MoveGenerator(state, limiter)
-            rng = random.Random(4)
-            trace = []
-            for _ in range(500):
-                attempts, accepts = generator.step(50.0, rng)
-                trace.append((attempts, accepts, state.cost()))
-            traces[core] = (trace, dict(generator.stats), state.state_dict())
-        assert traces["array"][0] == traces["object"][0]
-        assert traces["array"][1] == traces["object"][1]
-        assert traces["array"][2] == traces["object"][2]
+        """A seeded 500-step MoveGenerator walk (the real §3.2.1
+        cascade, Metropolis decisions included) issues every move kind
+        and, in both expansion modes, replays with identical per-step
+        attempts, accepts, and cost while matching the oracle."""
+        for static in (False, True):
+            traces = []
+            for _ in range(2):
+                state = _state(WALK, static=static)
+                limiter = RangeLimiter(
+                    full_span_x=state.core.width,
+                    full_span_y=state.core.height,
+                    t_infinity=500.0,
+                )
+                generator = MoveGenerator(state, limiter)
+                rng = random.Random(4)
+                trace = []
+                for _ in range(500):
+                    attempts, accepts = generator.step(50.0, rng)
+                    trace.append((attempts, accepts, state.cost()))
+                traces.append((trace, generator.stats, state.state_dict()))
+            assert traces[0] == traces[1]
+            assert all(traces[0][1][kind][0] > 0 for kind in MOVE_KINDS)
+            assert_matches_oracle(state)
+        cells = [state.cell(i) for i in range(len(state.names))]
+        assert any(isinstance(c, CustomCell) for c in cells)
+        assert any(isinstance(c, MacroCell) and c.num_instances > 1 for c in cells)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_accumulators_match_rebuild(self, spec):
-        """After a long array-core walk the incremental accumulators
-        still agree with a from-scratch rebuild (the object-core
-        invariant, inherited)."""
-        _, arr = _pair(spec)
-        mixed_move_sequence(arr, 150, seed=29)
-        c1, c2, c3 = arr._c1, arr._c2_raw, arr._c3_total
-        arr.rebuild()
-        assert arr._c1 == pytest.approx(c1, rel=1e-9, abs=1e-6)
-        assert arr._c2_raw == pytest.approx(c2, rel=1e-9, abs=1e-6)
-        assert arr._c3_total == pytest.approx(c3, rel=1e-9, abs=1e-6)
+        """After a long walk the incremental accumulators still agree
+        with a from-scratch rebuild."""
+        state = _state(spec)
+        every_kind_sequence(state, 150, seed=29)
+        c1, c2, c3 = state._c1, state._c2_raw, state._c3_total
+        state.rebuild()
+        assert state._c1 == pytest.approx(c1, rel=1e-9, abs=1e-6)
+        assert state._c2_raw == pytest.approx(c2, rel=1e-9, abs=1e-6)
+        assert state._c3_total == pytest.approx(c3, rel=1e-9, abs=1e-6)
 
 
 class TestBatchGenerator:
@@ -208,7 +244,7 @@ class TestBatchGenerator:
             custom_fraction=0.25,
         )
         circuit = generate_circuit(spec)
-        arr = make_placement_state("array", circuit, determine_core(circuit))
+        arr = PlacementState(circuit, determine_core(circuit))
         arr.randomize(random.Random(seed))
         return arr
 
@@ -272,28 +308,18 @@ class TestBatchGenerator:
 
 
 class TestVectorizedCost:
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-    def test_cost_breakdown_vector_matches_fresh(self, spec):
-        """The numpy C1/C2/C3 evaluation agrees with the object-core
-        from-scratch evaluation (tolerance: summation-order ULPs)."""
-        _, arr = _pair(spec)
-        mixed_move_sequence(arr, 80, seed=31)
-        vc1, vc2, vc3 = arr.cost_breakdown_vector()
-        fc1, fc2, fc3 = arr.cost_breakdown_fresh()
-        assert vc1 == pytest.approx(fc1, rel=1e-9, abs=1e-6)
-        assert vc2 == pytest.approx(fc2, rel=1e-9, abs=1e-6)
-        assert vc3 == pytest.approx(fc3, rel=1e-9, abs=1e-6)
-
     def test_accessors_read_the_mirror(self):
-        """pin_position / net_spans / teil / chip_bbox keep working
-        after array moves invalidate the object caches."""
-        obj, arr = _pair(SPECS[0])
-        mixed_move_sequence(obj, 40, seed=37)
-        mixed_move_sequence(arr, 40, seed=37)
-        assert arr.teil() == obj.teil()
-        assert arr.net_spans() == obj.net_spans()
-        assert arr.chip_bbox() == obj.chip_bbox()
-        for name in list(arr.index)[:5]:
-            cell = arr.cell(arr.index[name])
-            for pin in list(cell.pins)[:3]:
-                assert arr.pin_position(name, pin) == obj.pin_position(name, pin)
+        """pin_position / net_spans / teil / chip_bbox / shapes read the
+        incrementally maintained mirror, and agree exactly with a clone
+        rebuilt from scratch."""
+        state = _state(SPECS[0])
+        every_kind_sequence(state, 40, seed=37)
+        clone = _clone(state)
+        assert state.teil() == clone.teil()
+        assert state.net_spans() == clone.net_spans()
+        assert state.chip_bbox() == clone.chip_bbox()
+        for name in state.names:
+            assert state.expanded_shape(name).tiles == clone.expanded_shape(name).tiles
+            assert state.world_shape(name).bbox == clone.world_shape(name).bbox
+            for pin in state.cell(state.index[name]).pins:
+                assert state.pin_position(name, pin) == clone.pin_position(name, pin)

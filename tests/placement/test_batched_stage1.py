@@ -26,7 +26,7 @@ from repro.annealing import RangeLimiter
 from repro.config import MOVERS
 from repro.netlist import dumps, loads
 from repro.parallel.multichain import run_multichain_stage1
-from repro.placement import BatchMoveGenerator, make_placement_state, run_stage1
+from repro.placement import BatchMoveGenerator, PlacementState, run_stage1
 from repro.resilience import (
     CheckpointPolicy,
     Fault,
@@ -39,9 +39,7 @@ from repro.estimator import determine_core
 
 from ..conftest import make_macro_circuit
 
-BATCHED = replace(
-    TimberWolfConfig.smoke(seed=5), core="array", mover="batched"
-)
+BATCHED = replace(TimberWolfConfig.smoke(seed=5), mover="batched")
 
 
 def fixture_circuit():
@@ -55,7 +53,7 @@ class TestConfigGate:
         assert MOVERS == ("serial", "batched")
 
     def test_batched_requires_array_core(self):
-        with pytest.raises(ValueError, match="requires core='array'"):
+        with pytest.raises(ValueError, match="object placement core was removed"):
             replace(TimberWolfConfig.smoke(), core="object", mover="batched")
 
     def test_unknown_mover_rejected(self):
@@ -93,7 +91,7 @@ class TestBatchedStage1:
         """Restoring ``state_dict`` replays the identical proposal
         stream — the primitive under the cursor's generator_state."""
         circuit = make_macro_circuit(num_cells=5)
-        state = make_placement_state("array", circuit, determine_core(circuit))
+        state = PlacementState(circuit, determine_core(circuit))
         state.randomize(random.Random(3))
         core = state.core
         limiter = RangeLimiter(

@@ -84,7 +84,7 @@ def assert_structures_in_sync(state):
     for i in range(n):
         assert i in state._grid
         assert state._grid.stored_range(i) == state._grid.bin_range(
-            state._expanded[i].bbox
+            state.expanded_shape(state.names[i]).bbox
         )
 
 
@@ -180,7 +180,7 @@ class TestPinGroupFastPath:
                 SIDES[rng.randrange(4)],
                 rng.randrange(cell.sites_per_edge),
             )
-            assert not snap.geometry
+            assert snap.ebbs is None  # no geometry saved
             if rng.random() < 0.5:
                 state.restore(snap)
         # Pin moves cannot change shapes, overlaps, or the grid.
@@ -224,17 +224,17 @@ class TestLazyWorldShape:
 
 class TestSnapshotScope:
     def test_single_move_snapshot_visits_only_partners(self):
-        """The snapshot must record exactly the moved cell's overlap
-        pairs (its adjacency), not every pair in the placement."""
+        """The snapshot records only pairs of the moved cell (its
+        broad-phase candidates), and only its adjacency carries a
+        nonzero saved area — not every pair in the placement."""
         ckt = make_macro_circuit()
         state = PlacementState(ckt, determine_core(ckt))
         state.randomize(random.Random(71))
         idx = 0
         partners = set(state._adj[idx])
         _, snap = state.move_cell(idx, center=(0.0, 0.0))
-        for (i, j) in snap.overlaps:
-            assert idx in (i, j)
-            other = j if i == idx else i
-            assert other in partners
+        assert {j for _, j, old in snap.overlaps if old > 0.0} == partners
+        for i, j, _ in snap.overlaps:
+            assert i == idx and j != idx
         state.restore(snap)
         assert set(state._adj[idx]) == partners

@@ -92,6 +92,30 @@ class TestRun:
         assert result.overflow == 1
         assert not result.converged_shortest
 
+    def test_zero_delta_switches_count_as_stagnant(self, monkeypatch):
+        # Two nets, each with two equal-length alternatives through one
+        # over-capacity edge: every switch has dX = dL = 0, so the run
+        # must stop after M * N such attempts instead of flipping a net
+        # between its alternatives forever.
+        alts = {
+            "a": [alt([(0, 1), (1, 2)], 2.0), alt([(0, 1), (1, 3)], 2.0)],
+            "b": [alt([(0, 1), (1, 4)], 2.0), alt([(0, 1), (1, 5)], 2.0)],
+        }
+        caps = {(0, 1): 1, (1, 2): 5, (1, 3): 5, (1, 4): 5, (1, 5): 5}
+        sel = RouteSelector(alts, caps)
+        iterations = []
+        real = RouteSelector.overflowed_edges
+
+        def bounded(self):
+            iterations.append(1)
+            assert len(iterations) <= 100, "interchange never stopped"
+            return real(self)
+
+        monkeypatch.setattr(RouteSelector, "overflowed_edges", bounded)
+        result = sel.run(random.Random(0))
+        assert result.attempts == result.accepted == 4  # M * N
+        assert result.overflow == 1
+
     def test_routes_reflect_selection(self):
         alts = {
             "a": [alt([(0, 1)], 1.0), alt([(0, 2), (2, 1)], 2.0)],

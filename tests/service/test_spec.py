@@ -8,7 +8,7 @@ from repro.service import JOB_STATES, TERMINAL_STATES, Job, JobSpec, new_job_id
 class TestJobSpec:
     def test_round_trip(self):
         spec = JobSpec(
-            circuit="c.twmc", preset="fast", seed=3, core="object",
+            circuit="c.twmc", preset="fast", seed=3,
             cooling="adaptive", checkpoint_every=2,
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec

@@ -30,15 +30,15 @@ class TestBuildWorkerCommand:
     def test_first_attempt_is_a_fresh_place(self, tmp_path):
         paths = ServicePaths(tmp_path)
         paths.ensure_job_dirs("j1")
-        job = make_job(preset="fast", seed=3, core="object",
+        job = make_job(preset="fast", seed=3,
                        cooling="adaptive", checkpoint_every=2)
         cmd = build_worker_command(paths, job, python="py")
         assert cmd[:4] == ["py", "-m", "repro", "place"]
+        assert "--core" not in cmd
         assert cmd[4] == str(paths.circuit("j1"))
         for flag, value in (
             ("--preset", "fast"),
             ("--seed", "3"),
-            ("--core", "object"),
             ("--cooling", "adaptive"),
             ("--checkpoint-every", "2"),
             ("--checkpoint-dir", str(paths.checkpoint_dir("j1"))),
