@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
+from ..geometry import Rect, interval_overlap
+from ..placement.spatial import UniformGridIndex
 from .graph import ChannelGraph
 from .regions import CORE_BOUNDARY, CriticalRegion
 
@@ -97,18 +99,41 @@ def region_densities(
     global route traverses adjacent strips — and a net is charged to a
     region when any of its edges' legs passes through the region's
     rectangle.
+
+    Both legs lie inside the bounding box of the edge's endpoints, so
+    only regions whose rectangles meet that box (found through a uniform
+    grid) are tested exactly, and each distinct edge is tested once for
+    all the nets that use it.
     """
-    region_nets: Dict[int, Set[str]] = {r.index: set() for r in graph.regions}
-    for net, edges in routes.items():
+    regions = graph.regions
+    densities: Dict[int, int] = {r.index: 0 for r in regions}
+    if not regions:
+        return densities
+    grid = UniformGridIndex.for_bboxes(r.rect for r in regions)
+    for i, region in enumerate(regions):
+        grid.insert(i, region.rect)
+    positions = graph.positions
+    crossed: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for edges in routes.values():
+        charged: Set[int] = set()
         for u, v in edges:
-            p = graph.positions[u]
-            q = graph.positions[v]
-            for region in graph.regions:
-                if net in region_nets[region.index]:
-                    continue
-                if _l_path_crosses(region.rect, p, q):
-                    region_nets[region.index].add(net)
-    return {idx: len(nets) for idx, nets in region_nets.items()}
+            hit = crossed.get((u, v))
+            if hit is None:
+                p = positions[u]
+                q = positions[v]
+                box = Rect(
+                    min(p[0], q[0]), min(p[1], q[1]),
+                    max(p[0], q[0]), max(p[1], q[1]),
+                )
+                hit = crossed[(u, v)] = tuple(
+                    regions[i].index
+                    for i in grid.query(box)
+                    if _l_path_crosses(regions[i].rect, p, q)
+                )
+            charged.update(hit)
+        for idx in charged:
+            densities[idx] += 1
+    return densities
 
 
 def _l_path_crosses(rect, p: Tuple[float, float], q: Tuple[float, float]) -> bool:
@@ -119,8 +144,6 @@ def _l_path_crosses(rect, p: Tuple[float, float], q: Tuple[float, float]) -> boo
 
 
 def _leg_crosses(rect, a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-    from ..geometry import interval_overlap
-
     x1, x2 = sorted((a[0], b[0]))
     y1, y2 = sorted((a[1], b[1]))
     if x1 > rect.x2 or x2 < rect.x1 or y1 > rect.y2 or y2 < rect.y1:

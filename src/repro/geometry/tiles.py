@@ -256,41 +256,6 @@ class TileSet:
         out._area = sum(r.area for r in rects)
         return out
 
-    def translated_expanded(
-        self,
-        dx: float,
-        dy: float,
-        left: float,
-        bottom: float,
-        right: float,
-        top: float,
-    ) -> "TileSet":
-        """``translated(dx, dy).expanded_per_side(left, bottom, right, top)``
-        without materializing the intermediate tile set (the annealing hot
-        path builds one expanded set per move); the arithmetic composes
-        the two steps verbatim, so the result is bit-identical."""
-        if min(left, bottom, right, top) < 0:
-            raise ValueError("expansions must be non-negative")
-        rects = [
-            Rect(
-                (t.x1 + dx) - left,
-                (t.y1 + dy) - bottom,
-                (t.x2 + dx) + right,
-                (t.y2 + dy) + top,
-            )
-            for t in self._tiles
-        ]
-        out = TileSet.__new__(TileSet)
-        out._tiles = tuple(rects)
-        if len(rects) == 1:
-            only = rects[0]
-            out._bbox = only
-            out._area = only.area
-        else:
-            out._bbox = Rect.bounding(rects)
-            out._area = sum(r.area for r in rects)
-        return out
-
     def expanded_per_side(
         self, left: float, bottom: float, right: float, top: float
     ) -> "TileSet":

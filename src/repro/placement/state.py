@@ -118,15 +118,6 @@ class CellRecord:
     #: custom cells: pin-group key -> (canonical side, starting site index).
     pin_sites: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
-    def copy(self) -> "CellRecord":
-        return CellRecord(
-            self.center,
-            self.orientation,
-            self.instance,
-            self.aspect_ratio,
-            dict(self.pin_sites),
-        )
-
 
 class ArraySnapshot:
     """Undo token of one move: plain scalars and short lists.

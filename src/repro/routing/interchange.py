@@ -19,8 +19,8 @@ or L and X unchanged for M * N consecutive attempts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .steiner import RouteAlternative
 
@@ -40,7 +40,14 @@ class InterchangeResult:
 
 
 class RouteSelector:
-    """Selects one alternative per net subject to edge capacities."""
+    """Selects one alternative per net subject to edge capacities.
+
+    The overflowed-edge set is kept up to date by ``_install`` and
+    ``_uninstall`` and re-sorted only when it changes; each net's
+    alternatives are diffed against its current route once per selection
+    change.  Both are pure caches: the interchange draws the same random
+    numbers and makes the same choices as a from-scratch recount would.
+    """
 
     def __init__(
         self,
@@ -55,55 +62,62 @@ class RouteSelector:
                 raise ValueError(f"alternatives for net {net!r} not sorted")
         self.alternatives = {net: list(alts) for net, alts in alternatives.items()}
         self.capacities = capacities
+        # Only capacitated edges can overflow; the rest never enter X.
+        self._caps: Dict[EdgeKey, int] = {
+            e: c for e, c in capacities.items() if c is not None
+        }
         self.selection: Dict[str, int] = {net: 0 for net in self.alternatives}
         self._density: Dict[EdgeKey, int] = {}
         self._nets_on_edge: Dict[EdgeKey, set] = {}
         self._length = 0.0
         self._overflow = 0
+        self._hot: Set[EdgeKey] = set()
+        self._hot_sorted: Optional[List[EdgeKey]] = []
+        # net -> per-alternative (capacitated edges removed, capacitated
+        # edges added, dL) relative to the net's current selection.
+        self._diffs: Dict[str, List[Tuple[tuple, tuple, float]]] = {}
         for net in self.alternatives:
             self._install(net, 0)
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _capacity(self, edge: EdgeKey) -> Optional[int]:
-        return self.capacities.get(edge)
-
-    def _edge_overflow(self, edge: EdgeKey, density: int) -> int:
-        cap = self._capacity(edge)
+    def _set_density(self, edge: EdgeKey, old: int, new: int) -> None:
+        """Move ``edge`` from density ``old`` to ``new``, keeping X and
+        the overflowed-edge set in step."""
+        if new:
+            self._density[edge] = new
+        else:
+            del self._density[edge]
+        cap = self._caps.get(edge)
         if cap is None:
-            return 0
-        return max(0, density - cap)
+            return
+        self._overflow += max(0, new - cap) - max(0, old - cap)
+        if (new > cap) != (old > cap):
+            if new > cap:
+                self._hot.add(edge)
+            else:
+                self._hot.discard(edge)
+            self._hot_sorted = None
 
     def _install(self, net: str, k: int) -> None:
         alt = self.alternatives[net][k]
         self.selection[net] = k
         self._length += alt.length
-        # Sorted iteration keeps ``_density``'s insertion order — and so
-        # the interchange's random trajectory — a function of the route
-        # *values* only.  Plain frozenset order would leak the sets'
-        # construction history (a pickle round-trip through a routing
-        # worker reorders equal frozensets) into the result.
-        for edge in sorted(alt.edges):
-            old = self._density.get(edge, 0)
-            self._overflow += self._edge_overflow(edge, old + 1) - self._edge_overflow(
-                edge, old
-            )
-            self._density[edge] = old + 1
+        density = self._density
+        for edge in alt.edges:
+            old = density.get(edge, 0)
+            self._set_density(edge, old, old + 1)
             self._nets_on_edge.setdefault(edge, set()).add(net)
 
     def _uninstall(self, net: str) -> None:
         k = self.selection[net]
         alt = self.alternatives[net][k]
+        self._diffs.pop(net, None)
         self._length -= alt.length
+        density = self._density
         for edge in alt.edges:
-            old = self._density[edge]
-            self._overflow += self._edge_overflow(edge, old - 1) - self._edge_overflow(
-                edge, old
-            )
-            if old == 1:
-                del self._density[edge]
-            else:
-                self._density[edge] = old - 1
+            old = density[edge]
+            self._set_density(edge, old, old - 1)
             users = self._nets_on_edge[edge]
             users.discard(net)
             if not users:
@@ -123,14 +137,11 @@ class RouteSelector:
         return self._density.get(edge, 0)
 
     def overflowed_edges(self) -> List[EdgeKey]:
-        # Sorted for the same reason ``_install`` iterates sorted edges:
-        # the rng draws an index into this list, so its order must not
-        # depend on dict/set layout.
-        return sorted(
-            e
-            for e, d in self._density.items()
-            if self._edge_overflow(e, d) > 0
-        )
+        # Sorted: the rng draws an index into this list, so its order
+        # must not depend on dict/set layout.
+        if self._hot_sorted is None:
+            self._hot_sorted = sorted(self._hot)
+        return list(self._hot_sorted)
 
     def selected_route(self, net: str) -> RouteAlternative:
         return self.alternatives[net][self.selection[net]]
@@ -140,20 +151,40 @@ class RouteSelector:
 
     # -- the interchange loop -------------------------------------------------
 
+    def _net_diffs(self, net: str) -> List[Tuple[tuple, tuple, float]]:
+        diffs = self._diffs.get(net)
+        if diffs is None:
+            caps = self._caps
+            cur = self.selected_route(net)
+            diffs = [
+                (
+                    tuple(e for e in cur.edges - alt.edges if e in caps),
+                    tuple(e for e in alt.edges - cur.edges if e in caps),
+                    alt.length - cur.length,
+                )
+                for alt in self.alternatives[net]
+            ]
+            self._diffs[net] = diffs
+        return diffs
+
     def _delta(self, net: str, k: int) -> Tuple[int, float]:
         """(dX, dL) of switching ``net`` to alternative ``k``."""
-        cur = self.selected_route(net)
-        alt = self.alternatives[net][k]
-        d_len = alt.length - cur.length
-        removed = cur.edges - alt.edges
-        added = alt.edges - cur.edges
+        removed, added, d_len = self._net_diffs(net)[k]
+        caps = self._caps
+        density = self._density
         d_x = 0
+        # An edge contributes only while its density exceeds capacity
+        # after (added) or before (removed) the switch.
         for edge in removed:
-            old = self._density[edge]
-            d_x += self._edge_overflow(edge, old - 1) - self._edge_overflow(edge, old)
+            cap = caps[edge]
+            old = density[edge]
+            if old > cap:
+                d_x += max(0, old - 1 - cap) - (old - cap)
         for edge in added:
-            old = self._density.get(edge, 0)
-            d_x += self._edge_overflow(edge, old + 1) - self._edge_overflow(edge, old)
+            cap = caps[edge]
+            new = density.get(edge, 0) + 1
+            if new > cap:
+                d_x += (new - cap) - max(0, new - 1 - cap)
         return (d_x, d_len)
 
     def run(
@@ -184,17 +215,18 @@ class RouteSelector:
                 continue
             net = users[rng.randrange(len(users))]
             current = self.selection[net]
-            options = [
-                k
+            deltas = {
+                k: self._delta(net, k)
                 for k in range(len(self.alternatives[net]))
-                if k != current and self._delta(net, k)[0] <= 0
-            ]
+                if k != current
+            }
+            options = [k for k, (d_x, _) in deltas.items() if d_x <= 0]
             attempts += 1
             if not options:
                 stagnant += 1
                 continue
             k = options[rng.randrange(len(options))]
-            d_x, d_len = self._delta(net, k)
+            d_x, d_len = deltas[k]
             if d_x < 0 or (d_x == 0 and d_len <= 0):
                 self._uninstall(net)
                 self._install(net, k)

@@ -16,12 +16,36 @@ Both are realized with virtual terminals, kept out of returned paths.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 #: neighbors(node) -> iterable of (neighbor, edge length).
 NeighborFn = Callable[[int], Iterable[Tuple[int, float]]]
 
 Path = Tuple[float, Tuple[int, ...]]  # (length, node sequence)
+
+
+class ManhattanHeuristic(dict):
+    """The A* heuristic as a node -> estimate mapping: the Manhattan
+    distance from a node to the nearest target, 0 for nodes without a
+    position.  Entries are computed on first lookup and kept, so one
+    instance serves every search aimed at the same ``targets``."""
+
+    def __init__(
+        self, positions: Dict[int, Tuple[float, float]], targets: Iterable[int]
+    ) -> None:
+        super().__init__()
+        self._positions = positions
+        self._targets = [positions[t] for t in targets if t in positions]
+
+    def __missing__(self, node: int) -> float:
+        p = self._positions.get(node)
+        if p is None or not self._targets:
+            h = 0.0
+        else:
+            h = min(abs(p[0] - tx) + abs(p[1] - ty) for tx, ty in self._targets)
+        self[node] = h
+        return h
 
 
 def dijkstra(
@@ -31,6 +55,7 @@ def dijkstra(
     banned_nodes: Optional[Set[int]] = None,
     banned_edges: Optional[Set[Tuple[int, int]]] = None,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    heuristic: Optional[ManhattanHeuristic] = None,
 ) -> Optional[Path]:
     """Shortest path from any source (with initial costs) to any target.
 
@@ -38,27 +63,20 @@ def dijkstra(
     may not be traversed.  When ``positions`` is given the search runs as
     A* with the Manhattan distance-to-nearest-target heuristic, which is
     admissible here because every edge's length is the Manhattan distance
-    between its endpoints (triangle inequality).  Returns (length, path)
-    or None.
+    between its endpoints (triangle inequality).  ``heuristic`` passes in
+    that heuristic's memo, built for the same ``positions`` and
+    ``targets``.  Returns (length, path) or None.
     """
     banned_nodes = banned_nodes or set()
-    banned_edges = banned_edges or set()
-
-    if positions is not None and targets:
-        target_pos = [positions[t] for t in targets if t in positions]
-
-        def h(node: int) -> float:
-            p = positions.get(node)
-            if p is None or not target_pos:
-                return 0.0
-            return min(
-                abs(p[0] - tx) + abs(p[1] - ty) for tx, ty in target_pos
-            )
-
-    else:
-
-        def h(node: int) -> float:
-            return 0.0
+    # Nodes each node may not step to: the banned nodes, plus the heads
+    # of its banned out-edges.
+    forbidden: Dict[int, Set[int]] = {}
+    for u, v in banned_edges or ():
+        forbidden.setdefault(u, set(banned_nodes)).add(v)
+    # Without positions every estimate is 0: plain Dijkstra.
+    h = heuristic if heuristic is not None else ManhattanHeuristic(
+        positions or {}, targets
+    )
 
     dist: Dict[int, float] = {}
     prev: Dict[int, Optional[int]] = {}
@@ -66,14 +84,17 @@ def dijkstra(
     for node, cost in sources.items():
         if node in banned_nodes:
             continue
-        if cost < dist.get(node, float("inf")):
+        if cost < dist.get(node, inf):
             dist[node] = cost
             prev[node] = None
-            heapq.heappush(heap, (cost + h(node), cost, node))
+            heapq.heappush(heap, (cost + h[node], cost, node))
 
+    push = heapq.heappush
+    pop = heapq.heappop
+    get_dist = dist.get
     while heap:
-        _, d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        _, d, node = pop(heap)
+        if d > get_dist(node, inf):
             continue
         if node in targets:
             path = []
@@ -83,15 +104,38 @@ def dijkstra(
                 cur = prev[cur]
             path.reverse()
             return (d, tuple(path))
+        skip = forbidden.get(node, banned_nodes)
         for nxt, length in neighbors(node):
-            if nxt in banned_nodes or (node, nxt) in banned_edges:
+            if nxt in skip:
                 continue
             nd = d + length
-            if nd < dist.get(nxt, float("inf")) - 1e-12:
+            if nd < get_dist(nxt, inf) - 1e-12:
                 dist[nxt] = nd
                 prev[nxt] = node
-                heapq.heappush(heap, (nd + h(nxt), nd, nxt))
+                push(heap, (nd + h[nxt], nd, nxt))
     return None
+
+
+class EdgeLengths:
+    """Edge lengths read through a :data:`NeighborFn`, scanning each
+    node's neighbour list once.  Parallel edges resolve to the shortest;
+    ``lengths(u, v)`` is None when no (u, v) edge exists."""
+
+    __slots__ = ("_neighbors", "_rows")
+
+    def __init__(self, neighbors: NeighborFn) -> None:
+        self._neighbors = neighbors
+        self._rows: Dict[int, Dict[int, float]] = {}
+
+    def __call__(self, u: int, v: int) -> Optional[float]:
+        row = self._rows.get(u)
+        if row is None:
+            row = {}
+            for nxt, length in self._neighbors(u):
+                if nxt not in row or length < row[nxt]:
+                    row[nxt] = length
+            self._rows[u] = row
+        return row.get(v)
 
 
 #: Default cap on deviation (spur) points per Yen iteration.  The exact
@@ -111,6 +155,7 @@ def k_shortest_paths(
     k: int,
     max_spurs: int = DEFAULT_MAX_SPURS,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    heuristic: Optional[ManhattanHeuristic] = None,
 ) -> List[Path]:
     """Yen's algorithm: up to k shortest loopless source-to-target paths.
 
@@ -118,14 +163,23 @@ def k_shortest_paths(
     another source) and targets as a single virtual destination, so the
     result is the k best ways of joining the source set to the target
     set — exactly what connecting a pin group to a partial route needs.
+
+    Every search shares one A* heuristic memo (they all aim at
+    ``targets``); pass ``heuristic`` to share it further, between calls
+    with the same ``targets`` and ``positions``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if max_spurs < 1:
         raise ValueError("max_spurs must be at least 1")
-    first = dijkstra(neighbors, sources, targets, positions=positions)
+    if heuristic is None:
+        heuristic = ManhattanHeuristic(positions or {}, targets)
+    first = dijkstra(
+        neighbors, sources, targets, positions=positions, heuristic=heuristic
+    )
     if first is None:
         return []
+    lengths = EdgeLengths(neighbors)
     found: List[Path] = [first]
     candidates: List[Path] = []
     seen: Set[Tuple[int, ...]] = {first[1]}
@@ -137,10 +191,11 @@ def k_shortest_paths(
         if len(base_path) - 1 > max_spurs:
             step = (len(base_path) - 1) / max_spurs
             spur_indices = sorted({int(j * step) for j in range(max_spurs)})
+        root_costs = _prefix_costs(lengths, base_path, sources)
         for i in spur_indices:
             spur = base_path[i]
             root = base_path[: i + 1]
-            root_len = _path_cost(neighbors, root, sources)
+            root_len = root_costs[i]
             if root_len is None:
                 continue
             banned_edges: Set[Tuple[int, int]] = set()
@@ -157,6 +212,7 @@ def k_shortest_paths(
                 banned_nodes=banned_nodes,
                 banned_edges=banned_edges,
                 positions=positions,
+                heuristic=heuristic,
             )
             if spur_result is None:
                 continue
@@ -173,22 +229,25 @@ def k_shortest_paths(
     return found[:k]
 
 
-def _path_cost(
-    neighbors: NeighborFn, path: Tuple[int, ...], sources: Dict[int, float]
-) -> Optional[float]:
-    """Cost of a concrete path, honoring per-source initial costs."""
+def _prefix_costs(
+    lengths: EdgeLengths, path: Tuple[int, ...], sources: Dict[int, float]
+) -> List[Optional[float]]:
+    """Cost of every prefix ``path[: i + 1]``, honoring per-source initial
+    costs: the source's cost plus the edge lengths, added in path order.
+    None from the first missing edge on (or throughout, when the path
+    does not start at a source)."""
+    costs: List[Optional[float]] = [None] * len(path)
     if path[0] not in sources:
-        return None
+        return costs
     total = sources[path[0]]
-    for u, v in zip(path, path[1:]):
-        step = None
-        for nxt, length in neighbors(u):
-            if nxt == v and (step is None or length < step):
-                step = length
+    costs[0] = total
+    for i in range(1, len(path)):
+        step = lengths(path[i - 1], path[i])
         if step is None:
-            return None
+            break
         total += step
-    return total
+        costs[i] = total
+    return costs
 
 
 def path_edges(path: Tuple[int, ...]) -> FrozenSet[Tuple[int, int]]:

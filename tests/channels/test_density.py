@@ -1,6 +1,9 @@
 """Congestion accounting and the width rule of Eqn 22."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channels import (
     WIDTH_MARGIN_TRACKS,
@@ -12,6 +15,7 @@ from repro.channels import (
     region_densities,
     required_channel_width,
 )
+from repro.channels.density import _l_path_crosses
 from repro.geometry import Rect, TileSet
 
 
@@ -106,6 +110,60 @@ class TestRegionDensities:
         graph, pa, pb = simple_setup()
         densities = region_densities(graph, {})
         assert all(v == 0 for v in densities.values())
+
+
+def brute_force_densities(graph, routes):
+    """Every route edge against every region, as the definition reads."""
+    region_nets = {r.index: set() for r in graph.regions}
+    for net, edges in routes.items():
+        for u, v in edges:
+            p, q = graph.positions[u], graph.positions[v]
+            for region in graph.regions:
+                if _l_path_crosses(region.rect, p, q):
+                    region_nets[region.index].add(net)
+    return {idx: len(nets) for idx, nets in region_nets.items()}
+
+
+@st.composite
+def region_layouts(draw):
+    """Regions and node positions on a coarse integer grid, so legs often
+    run exactly along a region's boundary or end on its corner."""
+    coord = st.integers(0, 12)
+    regions = []
+    for i in range(draw(st.integers(0, 8))):
+        x1, x2 = sorted((draw(coord), draw(coord)))
+        y1, y2 = sorted((draw(coord), draw(coord)))
+        regions.append(SimpleNamespace(index=i, rect=Rect(x1, y1, x2, y2)))
+    positions = {
+        n: (float(draw(coord)), float(draw(coord)))
+        for n in range(draw(st.integers(1, 10)))
+    }
+    node = st.sampled_from(sorted(positions))
+    routes = {
+        f"n{i}": draw(st.lists(st.tuples(node, node), max_size=6))
+        for i in range(draw(st.integers(0, 5)))
+    }
+    return SimpleNamespace(regions=regions, positions=positions), routes
+
+
+class TestRegionDensitiesMatchBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(region_layouts())
+    def test_random_layouts(self, layout):
+        graph, routes = layout
+        assert region_densities(graph, routes) == brute_force_densities(graph, routes)
+
+    def test_leg_along_boundary_counts(self):
+        # A horizontal leg running along the region's top edge crosses it;
+        # one that only touches a corner does not.
+        region = SimpleNamespace(index=0, rect=Rect(2, 0, 6, 4))
+        graph = SimpleNamespace(
+            regions=[region],
+            positions={0: (0.0, 4.0), 1: (8.0, 4.0), 2: (6.0, 4.0), 3: (6.0, 9.0)},
+        )
+        routes = {"along": [(0, 1)], "corner": [(2, 3)]}
+        assert brute_force_densities(graph, routes) == {0: 1}
+        assert region_densities(graph, routes) == {0: 1}
 
 
 class TestCellEdgeExpansions:

@@ -126,6 +126,10 @@ class TestExpansion:
         ts = TileSet.rectangle(4, 4).expanded_per_side(1, 2, 3, 4)
         assert ts.bbox == Rect(-3, -4, 5, 6)
 
+    def test_per_side_negative_raises(self):
+        with pytest.raises(ValueError):
+            TileSet.rectangle(2, 2).expanded_per_side(0, -1, 0, 0)
+
     def test_expansion_grows_overlap(self):
         a = TileSet.rectangle(2, 2)
         b = TileSet.rectangle(2, 2).translated(3, 0)
@@ -188,31 +192,11 @@ class TestOverlapFastPaths:
 
 
 class TestComposedTransforms:
-    """translated_expanded and the transformed fast path must be
-    indistinguishable from the two-step spellings they replace."""
-
-    @given(
-        st.integers(-5, 5),
-        st.integers(-5, 5),
-        st.floats(0, 3),
-        st.floats(0, 3),
-        st.floats(0, 3),
-        st.floats(0, 3),
-    )
-    def test_translated_expanded_composes(self, dx, dy, l, b, r, t):
-        for shape in (TileSet.rectangle(4, 6), TileSet.l_shape(8, 8, 3, 3)):
-            two_step = shape.translated(dx, dy).expanded_per_side(l, b, r, t)
-            one_step = shape.translated_expanded(dx, dy, l, b, r, t)
-            assert one_step.tiles == two_step.tiles
-            assert one_step.bbox == two_step.bbox
-            assert one_step.area == pytest.approx(two_step.area)
-
-    def test_translated_expanded_negative_raises(self):
-        with pytest.raises(ValueError):
-            TileSet.rectangle(2, 2).translated_expanded(0, 0, -1, 0, 0, 0)
+    """The single-tile fast paths of the transforms must be
+    indistinguishable from the general tile-by-tile spellings."""
 
     def test_single_tile_bbox_is_exact(self):
-        out = TileSet.rectangle(4, 2).translated_expanded(10, 20, 1, 2, 3, 4)
+        out = TileSet.rectangle(4, 2).translated(10, 20).expanded_per_side(1, 2, 3, 4)
         assert out.bbox == out.tiles[0]
         assert out.area == out.tiles[0].area
 

@@ -188,14 +188,15 @@ class TestSnapshotRestore:
         macro_state.randomize(random.Random(3))
         before_cost = macro_state.cost()
         before_teil = macro_state.teil()
-        record_before = macro_state.records[0].copy()
+        center_before = macro_state.records[0].center
+        orientation_before = macro_state.records[0].orientation
         delta, snap = macro_state.move_cell(0, center=(5.0, 5.0), orientation=3)
         assert macro_state.cost() == pytest.approx(before_cost + delta)
         macro_state.restore(snap)
         assert macro_state.cost() == before_cost
         assert macro_state.teil() == before_teil
-        assert macro_state.records[0].center == record_before.center
-        assert macro_state.records[0].orientation == record_before.orientation
+        assert macro_state.records[0].center == center_before
+        assert macro_state.records[0].orientation == orientation_before
 
     def test_swap_restore_exact(self, macro_state):
         macro_state.randomize(random.Random(4))
