@@ -14,20 +14,23 @@ ring into an ordered event stream:
 * ``final`` — the run's last beat; the stream closes after it.
 
 The tailer never touches the writer's files other than to read them,
-and tolerates snapshot replacement and ring compaction mid-read.
+and tolerates snapshot replacement and ring compaction mid-read (the
+ring is a shared log in the format of :mod:`repro.telemetry.jsonlog`).
+:func:`sse_pump` is the poll loop behind every SSE body the server
+sends, this one and the service's ``/jobs/events``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Union
 
 from ..qor.heartbeat import history_path, read_heartbeat, read_history
 from ..qor.monitor import FINAL_PHASES
 from ..qor.recorder import RunRecorder
+from ..telemetry import jsonlog
 
 
 def format_sse(
@@ -40,9 +43,7 @@ def format_sse(
         lines.append(f"event: {event}")
     if event_id is not None:
         lines.append(f"id: {event_id}")
-    payload = data if isinstance(data, str) else json.dumps(
-        data, separators=(",", ":"), default=str
-    )
+    payload = data if isinstance(data, str) else jsonlog.encode(data)
     for chunk in payload.splitlines() or [""]:
         lines.append(f"data: {chunk}")
     return ("\n".join(lines) + "\n\n").encode("utf-8")
@@ -62,16 +63,10 @@ class HeartbeatTailer:
     compacted away before the first poll are gone, like any ring).
     """
 
-    def __init__(
-        self,
-        rundir: Union[str, Path],
-        poll_interval: float = 0.25,
-        since_seq: int = 0,
-    ) -> None:
+    def __init__(self, rundir: Union[str, Path], since_seq: int = 0) -> None:
         self.rundir = Path(rundir)
         self.snapshot_path = self.rundir / RunRecorder.HEARTBEAT_NAME
         self.history_file = history_path(self.snapshot_path)
-        self.poll_interval = poll_interval
         self.last_seq = since_seq
 
     def poll(self) -> Iterator[Dict[str, Any]]:
@@ -96,35 +91,39 @@ class HeartbeatTailer:
             self.last_seq = newest
             yield snapshot
 
-    def beats(
-        self,
-        stop: Optional[threading.Event] = None,
-        timeout: Optional[float] = None,
-        max_beats: Optional[int] = None,
-    ) -> Iterator[Dict[str, Any]]:
-        """Stream beats until the run's final beat, ``stop`` is set,
-        ``timeout`` seconds elapse, or ``max_beats`` were delivered.
-        Yields None between empty polls so callers can interleave
-        keepalives."""
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        delivered = 0
-        while True:
-            if stop is not None and stop.is_set():
+
+def sse_pump(
+    frames: Callable[[], Iterable[Optional[bytes]]],
+    stop: Optional[threading.Event] = None,
+    timeout: Optional[float] = None,
+    poll_interval: float = 0.25,
+    keepalive_every: float = 15.0,
+) -> Iterator[bytes]:
+    """The poll loop of an SSE body.
+
+    Calls ``frames()`` once per poll and sends what it returns; a
+    ``None`` among the frames ends the stream.  Between empty polls it
+    sleeps ``poll_interval`` and sends a keepalive comment once
+    ``keepalive_every`` seconds pass without a frame.  ``stop`` and
+    ``timeout`` end the stream early.
+    """
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    last_emit = time.monotonic()
+    while stop is None or not stop.is_set():
+        if deadline is not None and time.monotonic() > deadline:
+            return
+        got = False
+        for frame in frames():
+            if frame is None:
                 return
-            if deadline is not None and time.monotonic() > deadline:
-                return
-            got = False
-            for beat in self.poll():
-                got = True
-                delivered += 1
-                yield beat
-                if beat.get("final") or beat.get("phase") in FINAL_PHASES:
-                    return
-                if max_beats is not None and delivered >= max_beats:
-                    return
-            if not got:
-                yield None  # idle poll: caller may emit a keepalive
-                time.sleep(self.poll_interval)
+            got = True
+            yield frame
+            last_emit = time.monotonic()
+        if not got:
+            if time.monotonic() - last_emit >= keepalive_every:
+                last_emit = time.monotonic()
+                yield keepalive()
+            time.sleep(poll_interval)
 
 
 def stream_events(
@@ -142,31 +141,34 @@ def stream_events(
     a ``beat`` event for every heartbeat, and a ``final`` event (then
     ends) when the run publishes its last beat.
     """
-    tailer = HeartbeatTailer(
-        rundir, poll_interval=poll_interval, since_seq=since_seq
-    )
+    tailer = HeartbeatTailer(rundir, since_seq=since_seq)
     last_marker: Optional[tuple] = None
-    last_emit = time.monotonic()
-    for beat in tailer.beats(stop=stop, timeout=timeout, max_beats=max_beats):
-        if beat is None:
-            if time.monotonic() - last_emit >= keepalive_every:
-                last_emit = time.monotonic()
-                yield keepalive()
-            continue
-        marker = (beat.get("phase"), beat.get("stage"))
-        seq = str(beat.get("seq", ""))
-        if marker != last_marker:
-            last_marker = marker
+    delivered = 0
+
+    def frames() -> Iterator[Optional[bytes]]:
+        nonlocal last_marker, delivered
+        for beat in tailer.poll():
+            marker = (beat.get("phase"), beat.get("stage"))
+            seq = str(beat.get("seq", ""))
+            if marker != last_marker:
+                last_marker = marker
+                yield format_sse(
+                    {
+                        "run_id": beat.get("run_id"),
+                        "phase": beat.get("phase"),
+                        "stage": beat.get("stage"),
+                        "seq": beat.get("seq"),
+                    },
+                    event="stage",
+                    event_id=seq,
+                )
+            final = bool(beat.get("final") or beat.get("phase") in FINAL_PHASES)
             yield format_sse(
-                {
-                    "run_id": beat.get("run_id"),
-                    "phase": beat.get("phase"),
-                    "stage": beat.get("stage"),
-                    "seq": beat.get("seq"),
-                },
-                event="stage",
-                event_id=seq,
+                beat, event="final" if final else "beat", event_id=seq
             )
-        final = bool(beat.get("final") or beat.get("phase") in FINAL_PHASES)
-        yield format_sse(beat, event="final" if final else "beat", event_id=seq)
-        last_emit = time.monotonic()
+            delivered += 1
+            if final or (max_beats is not None and delivered >= max_beats):
+                yield None
+                return
+
+    return sse_pump(frames, stop, timeout, poll_interval, keepalive_every)

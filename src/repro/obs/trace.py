@@ -153,16 +153,20 @@ def trace_ids_of(events: Sequence[Dict[str, Any]]) -> List[str]:
 
 
 def trace_document(
-    rundir: Union[str, Path], run_id: Optional[str] = None
+    rundir: Union[str, Path],
+    run_id: Optional[str] = None,
+    files: Optional[Sequence[Path]] = None,
 ) -> Optional[Dict[str, Any]]:
     """One rundir's merged trace view, or None when it holds no trace.
 
     One *process section* per trace file: a service job retried after a
     SIGKILL leaves ``trace-attempt-01.jsonl`` and
     ``trace-attempt-02.jsonl`` in the same rundir, and both attempts
-    appear here under the same trace id.
+    appear here under the same trace id.  ``files`` restricts the view
+    to the given trace files (default: every trace file in ``rundir``).
     """
-    files = trace_files(rundir)
+    if files is None:
+        files = trace_files(rundir)
     if not files:
         return None
     processes: List[Dict[str, Any]] = []

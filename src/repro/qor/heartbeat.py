@@ -22,23 +22,17 @@ staleness.  ``min_interval`` throttles the file traffic of very fast
 loops; a phase change or a ``final`` beat always writes.
 
 Alongside the snapshot, the writer appends every published beat to a
-bounded history ring (``heartbeat.history.jsonl``): an append-only JSONL
-file that is atomically compacted back down to the newest
-``history_limit`` entries whenever it grows past twice that bound.  The
-observability server tails the ring to stream progress (SSE) and to
-compute anneal-health analytics without ever racing the writer: appends
-are line-buffered, compaction goes through the same temp-file +
-``os.replace`` discipline as the snapshot, and readers treat a torn
-final line as "not yet written".
+bounded history ring (``heartbeat.history.jsonl``), a shared append-only
+log in the format of :mod:`repro.telemetry.jsonlog` (appends, the
+lenient torn-line reader, the contract).  When the ring grows past
+twice :data:`HISTORY_LIMIT` entries it is compacted back down to the
+newest ``HISTORY_LIMIT`` through the same temp-file + ``os.replace``
+discipline as the snapshot.  The observability server reads the ring to
+stream progress (SSE) and to compute anneal-health analytics.
 
-Each compaction stamps the rewritten ring with a **generation marker**
-(a first line of the form ``{"ring": {...}}``, not a beat): a reader
-that re-reads the file around a compaction can tell the pre- and
-post-truncation images apart by generation instead of guessing from
-file size, and a writer that re-attaches to an existing ring (a retried
-service job re-running in the same rundir) continues the generation
-sequence rather than restarting it.  :func:`read_history` skips the
-markers; :func:`ring_generation` exposes the newest one.
+A writer that re-attaches to an existing rundir (``resume --rundir``,
+a retried service job) continues ``seq`` from the snapshot, so ``seq``
+increases across attempts in both the snapshot and the ring.
 """
 
 from __future__ import annotations
@@ -52,15 +46,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..telemetry import jsonlog
+
 #: Schema tag written into every heartbeat document.
 HEARTBEAT_VERSION = 1
 
-#: Default bound on the heartbeat history ring (entries kept after a
+#: Bound on the heartbeat history ring (entries kept after a
 #: compaction; the file may grow to twice this between compactions).
 HISTORY_LIMIT = 512
-
-#: Key that distinguishes a ring generation-marker line from a beat.
-RING_MARKER_KEY = "ring"
 
 
 def history_path(snapshot_path: Union[str, Path]) -> Path:
@@ -91,9 +84,6 @@ class HeartbeatWriter:
     written beat is also rendered to Prometheus text format (the
     node-exporter textfile-collector contract) at that path, again
     atomically.
-
-    ``history_limit`` bounds the history ring next to the snapshot
-    (``0`` disables it entirely).
     """
 
     enabled = True
@@ -104,32 +94,24 @@ class HeartbeatWriter:
         run_id: Optional[str] = None,
         min_interval: float = 0.0,
         metrics_textfile: Optional[Union[str, Path]] = None,
-        history_limit: int = HISTORY_LIMIT,
     ) -> None:
         if min_interval < 0:
             raise ValueError("min_interval must be non-negative")
-        if history_limit < 0:
-            raise ValueError("history_limit must be non-negative")
         self.path = Path(path)
         self.run_id = run_id
         self.min_interval = min_interval
         self.metrics_textfile = (
             Path(metrics_textfile) if metrics_textfile is not None else None
         )
-        self.history_limit = history_limit
-        self.history_path = history_path(self.path) if history_limit else None
-        self._history_appends = 0
-        self._ring_generation = 0
-        if self.history_path is not None and self.history_path.exists():
-            # Re-attaching to an existing ring (e.g. a retried service
-            # job re-running in the same rundir): continue its
-            # generation sequence so tailers see it advance, never reset.
-            try:
-                self._ring_generation = ring_generation(self.history_path)
-            except OSError:
-                pass
+        self.history_path = history_path(self.path)
         self._context: Dict[str, Any] = {}
-        self._seq = 0
+        # Re-attaching to an existing rundir: count the ring's beats
+        # toward the compaction bound, and continue after the newest
+        # beat, so tailers and ``read_history(since_seq=...)`` never see
+        # seq go backwards.
+        self._history_appends = len(read_history(self.history_path))
+        previous = read_heartbeat(self.path, retries=0)
+        self._seq = int(previous.get("seq", 0) or 0) if previous else 0
         self._last_write = 0.0
         self._last_phase: Optional[str] = None
 
@@ -163,10 +145,9 @@ class HeartbeatWriter:
         }
         doc.update(self._context)
         doc.update(fields)
-        text = json.dumps(doc, separators=(",", ":"), default=str)
+        text = jsonlog.encode(doc)
         _atomic_write(self.path, text)
-        if self.history_path is not None:
-            self._append_history(text)
+        self._append_history(text)
         if self.metrics_textfile is not None:
             from .prometheus import render_prometheus
 
@@ -176,71 +157,21 @@ class HeartbeatWriter:
 
     def _append_history(self, line: str) -> None:
         """Append one beat to the history ring, compacting when the file
-        has grown to twice the configured bound.  Ring failures never
+        has grown to twice :data:`HISTORY_LIMIT`.  Ring failures never
         propagate into the instrumented loop: the snapshot is the source
         of truth, the ring is best-effort."""
         try:
-            with open(self.history_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            jsonlog.append(self.history_path, line)
             self._history_appends += 1
-            if self._history_appends >= 2 * self.history_limit:
-                self._compact_history()
+            if self._history_appends >= 2 * HISTORY_LIMIT:
+                keep = read_history(self.history_path, limit=HISTORY_LIMIT)
+                _atomic_write(
+                    self.history_path,
+                    "".join(jsonlog.encode(doc) + "\n" for doc in keep),
+                )
+                self._history_appends = len(keep)
         except OSError:
             pass
-
-    def _compact_history(self) -> None:
-        """Atomically rewrite the ring down to the newest entries,
-        stamped with a fresh generation marker.  A reader that observes
-        the file twice around the swap can order the two images by
-        generation instead of inferring from size."""
-        lines = [
-            line
-            for line in self.history_path.read_text(encoding="utf-8").splitlines()
-            if line.strip() and not _is_ring_marker(line)
-        ]
-        keep = lines[-self.history_limit:]
-        self._ring_generation += 1
-        marker = json.dumps(
-            {
-                RING_MARKER_KEY: {
-                    "v": HEARTBEAT_VERSION,
-                    "generation": self._ring_generation,
-                    "kept": len(keep),
-                    "compacted": time.time(),
-                }
-            },
-            separators=(",", ":"),
-        )
-        _atomic_write(self.history_path, "\n".join([marker, *keep]) + "\n")
-        self._history_appends = len(keep)
-
-
-def _is_ring_marker(line: str) -> bool:
-    """Cheap syntactic test for a generation-marker line (avoids a JSON
-    parse per line on the writer's compaction path)."""
-    return line.startswith('{"%s":' % RING_MARKER_KEY)
-
-
-def ring_generation(path: Union[str, Path]) -> int:
-    """The ring's current compaction generation (0 before the first
-    compaction, or for a missing ring)."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
-        return 0
-    generation = 0
-    for line in raw.split("\n"):
-        if not _is_ring_marker(line):
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn marker: the previous generation stands
-        marker = doc.get(RING_MARKER_KEY)
-        if isinstance(marker, dict):
-            generation = max(generation, int(marker.get("generation", 0)))
-    return generation
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -293,35 +224,19 @@ def read_history(
     since_seq: Optional[int] = None,
     limit: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
-    """Parsed history-ring entries, oldest first.
+    """Parsed history-ring beats, oldest first.
 
     ``since_seq`` keeps only beats with ``seq`` strictly greater (the
     resume point of a streaming client); ``limit`` keeps the newest N.
-    A torn final line (the writer mid-append) is skipped silently; a
-    missing ring reads as empty; compaction generation markers are not
-    beats and never appear in the result.
+    The ring is read leniently (:mod:`repro.telemetry.jsonlog`): torn
+    and corrupt lines are skipped, and a missing ring reads as empty.
+    Only docs that carry ``seq`` are beats.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    entries: List[Dict[str, Any]] = []
-    lines = raw.split("\n")
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                continue  # torn final line: the writer is mid-append
-            raise
-        if RING_MARKER_KEY in doc and "seq" not in doc:
-            continue  # compaction generation marker
-        if since_seq is not None and doc.get("seq", 0) <= since_seq:
-            continue
-        entries.append(doc)
+    entries = [
+        doc
+        for doc in jsonlog.read(path)
+        if "seq" in doc and (since_seq is None or doc["seq"] > since_seq)
+    ]
     if limit is not None:
         entries = entries[-limit:]
     return entries

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bench.metrics import format_table
+from . import jsonlog
 
 Event = Dict[str, Any]
 Table = Tuple[List[str], List[List[Any]]]
@@ -32,27 +32,12 @@ Table = Tuple[List[str], List[List[Any]]]
 def load_events(source: Union[str, Path, Iterable[Event]]) -> List[Event]:
     """Events from a JSONL path or an already-parsed iterable.
 
-    A trace from a crashed or killed run can end in a partial line (the
-    FileSink is line-buffered, so at most the *final* line is cut off):
-    a malformed final line is silently skipped.  A malformed line with
-    valid JSON after it is real corruption and still raises.
+    A trace is read strictly (:mod:`repro.telemetry.jsonlog`): the torn
+    final line of a killed run is skipped, but a malformed line with
+    valid JSON after it is real corruption and raises.
     """
     if isinstance(source, (str, Path)):
-        events = []
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-        while lines and not lines[-1]:
-            lines.pop()
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # truncated tail of an interrupted run
-                raise
-        return events
+        return jsonlog.read(source, strict=True)
     return list(source)
 
 

@@ -59,33 +59,14 @@ def add_trace_command(subparsers: argparse._SubParsersAction) -> None:
 def _document(path_arg: str) -> Optional[Dict[str, Any]]:
     """The trace document for a rundir — or for one explicit JSONL file,
     wrapped in a single-process document of the same shape."""
-    from ..obs.trace import span_tree, trace_document, trace_ids_of, waterfall
-    from .report import load_events
+    from ..obs.trace import trace_document
 
     path = Path(path_arg)
     if path.is_dir():
         return trace_document(path)
     if not path.is_file():
         return None
-    events = load_events(path)
-    roots = span_tree(events)
-    tids = trace_ids_of(events)
-    return {
-        "run_id": None,
-        "rundir": str(path.parent),
-        "trace_id": tids[0] if len(tids) == 1 else None,
-        "trace_ids": tids,
-        "processes": [
-            {
-                "file": path.name,
-                "events": len(events),
-                "trace_ids": tids,
-                "spans": roots,
-                "waterfall": waterfall(roots),
-            }
-        ],
-        "span_count": len(waterfall(roots)),
-    }
+    return trace_document(path.parent, files=[path])
 
 
 def _format_span(node: Dict[str, Any], depth: int, lines: List[str]) -> None:

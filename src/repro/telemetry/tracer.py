@@ -12,8 +12,8 @@ Design constraints, in order:
 1. *Zero cost when disabled.*  The default sink is :class:`NullSink`;
    every emitting method checks ``tracer.enabled`` first, so an
    instrumented hot loop pays one attribute read and a branch.
-2. *Zero dependencies.*  Standard library only (``json``, ``time``,
-   ``contextvars``).
+2. *Zero dependencies.*  Standard library only (``time``,
+   ``contextvars``; files go through :mod:`repro.telemetry.jsonlog`).
 3. *Exception safety.*  A span always emits its ``span_end`` event, with
    ``ok: false`` and the exception type when the body raised.
 
@@ -25,11 +25,14 @@ flow entry point lights up every layer beneath it.
 from __future__ import annotations
 
 import contextvars
-import json
+import os
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import IO, Any, Dict, Iterator, List, Optional, Sequence, Union
+from pathlib import Path
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+
+from . import jsonlog
 
 
 class Sink(ABC):
@@ -45,13 +48,8 @@ class Sink(ABC):
         past the call unless the sink copies it (MemorySink keeps the
         reference; tracers never reuse event dicts)."""
 
-    def flush(self) -> None:
-        """Push buffered events to durable storage; no-op by default.
-        Tracers call this after every ``span_end`` so a trace on disk is
-        complete up to the last closed span even if the process dies."""
-
     def close(self) -> None:
-        """Flush and release any resources; idempotent."""
+        """Release any resources; idempotent."""
 
 
 class NullSink(Sink):
@@ -85,51 +83,28 @@ class MemorySink(Sink):
 
 
 class FileSink(Sink):
-    """Writes one JSON object per line (JSONL) to a path or file object.
+    """Writes one JSON object per line (JSONL) to ``path``, truncating
+    it on open.
 
-    Files the sink opens itself are line-buffered, so at most the final
-    line of a crashed run's trace can be truncated (the reader skips
-    it; see ``report.load_events``).  ``flush_every`` additionally
-    forces an explicit flush every N events for caller-supplied file
-    objects with larger buffers.
+    Each event is one unbuffered append through the shared log module
+    (:mod:`repro.telemetry.jsonlog`), so the file on disk is complete up
+    to the last emitted event and a killed run leaves at most a torn
+    final line, which ``report.load_events`` skips.
     """
 
-    def __init__(self, path_or_file: Union[str, "IO[str]"], *, flush_every: int = 64) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be positive")
-        if hasattr(path_or_file, "write"):
-            self._file: Optional[IO[str]] = path_or_file  # type: ignore[assignment]
-            self._owns_file = False
-            self.path = getattr(path_or_file, "name", None)
-        else:
-            self._file = open(path_or_file, "w", encoding="utf-8", buffering=1)
-            self._owns_file = True
-            self.path = str(path_or_file)
-        self._flush_every = flush_every
-        self._since_flush = 0
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = str(path)
+        self._fd: Optional[int] = jsonlog.open_append(path, truncate=True)
 
     def emit(self, event: Dict[str, Any]) -> None:
-        if self._file is None:
+        if self._fd is None:
             raise ValueError("FileSink is closed")
-        self._file.write(json.dumps(event, separators=(",", ":"), default=str))
-        self._file.write("\n")
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._file.flush()
-            self._since_flush = 0
-
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._since_flush = 0
+        jsonlog.write_line(self._fd, jsonlog.encode(event))
 
     def close(self) -> None:
-        if self._file is None:
-            return
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
-        self._file = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 class _SpanHandle:
@@ -365,11 +340,6 @@ class Tracer:
             if error is not None:
                 end["error"] = error
             self._emit(end)
-            # A closed span is a natural durability point: flush so the
-            # on-disk trace is complete up to here even on a later crash.
-            for s in self._sinks:
-                if s.enabled:
-                    s.flush()
 
 
 #: The process-wide disabled tracer; ``current_tracer`` falls back to it.

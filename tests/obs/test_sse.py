@@ -59,11 +59,10 @@ class TestTailer:
         assert [b["seq"] for b in tailer.poll()] == [3, 4]
 
     def test_snapshot_only_rundir_falls_back(self, tmp_path):
-        writer = HeartbeatWriter(
-            tmp_path / "heartbeat.json", run_id="r1", history_limit=0
-        )
+        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
         writer.beat("anneal", step=1)
         writer.beat("anneal", step=2)
+        writer.history_path.unlink()
         tailer = HeartbeatTailer(tmp_path)
         # No ring: only the newest snapshot is observable.
         assert [b["seq"] for b in tailer.poll()] == [2]
@@ -80,6 +79,28 @@ class TestTailer:
             handle.write('{"seq": 3, "truncat')  # writer mid-append
         tailer = HeartbeatTailer(tmp_path)
         assert [b["seq"] for b in tailer.poll()] == [1, 2]
+
+    def test_retried_attempt_continues_the_stream(self, tmp_path):
+        """A second writer on the same rundir (``resume --rundir``)
+        continues seq, so a live tailer sees its beats and its final."""
+        first = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
+        for step in range(5):
+            first.beat("anneal", step=step)
+        tailer = HeartbeatTailer(tmp_path)
+        assert [b["seq"] for b in tailer.poll()] == [1, 2, 3, 4, 5]
+        second = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
+        second.beat("anneal", step=5)
+        second.beat("done", final=True)
+        beats = list(tailer.poll())
+        assert [b["seq"] for b in beats] == [6, 7]
+        assert beats[-1]["final"] is True
+        frames = parse_frames(
+            b"".join(stream_events(tmp_path, since_seq=5, timeout=5.0))
+        )
+        assert [(f[0], f[2]["seq"]) for f in frames if f[0] != "stage"] == [
+            ("beat", 6),
+            ("final", 7),
+        ]
 
 
 class TestStreamEvents:

@@ -1,30 +1,23 @@
-"""The history ring's compaction generation marker.
+"""The history ring across compaction, re-attaching writers and torn
+lines.
 
-Compaction atomically replaces the ring file; without a marker, a
-reader that saw the file before and after the swap could only guess
-from the size whether it shrank (compacted) or was truncated.  The
-generation marker makes the swap observable and ordered — and a writer
-re-attaching to an existing rundir (a retried service job) continues
-the sequence instead of resetting it.
+Compaction atomically replaces the ring file while readers poll it; a
+writer re-attaching to an existing rundir (a retried service job)
+continues ``seq`` from the snapshot; and a torn line left by a killed
+writer never breaks a later append or any reader.
 """
 
 import json
 import threading
 
-from repro.qor.heartbeat import (
-    HeartbeatWriter,
-    HeartbeatWriter as Writer,
-    RING_MARKER_KEY,
-    read_history,
-    ring_generation,
-)
+from repro.obs.health import analyze_health
 from repro.obs.sse import HeartbeatTailer
+from repro.qor import heartbeat
+from repro.qor.heartbeat import HeartbeatWriter, read_history
 
 
-def make_writer(tmp_path, history_limit=8):
-    return HeartbeatWriter(
-        tmp_path / "heartbeat.json", run_id="r", history_limit=history_limit
-    )
+def make_writer(tmp_path):
+    return HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r")
 
 
 def fill(writer, beats):
@@ -32,71 +25,51 @@ def fill(writer, beats):
         writer.beat("stage1")
 
 
-class TestGenerationMarker:
-    def test_no_marker_before_first_compaction(self, tmp_path):
+class TestReattachingWriter:
+    def test_seq_continues_from_the_snapshot(self, tmp_path):
+        fill(make_writer(tmp_path), 3)
+        second = make_writer(tmp_path)
+        fill(second, 2)
+        seqs = [doc["seq"] for doc in read_history(second.history_path)]
+        assert seqs == [1, 2, 3, 4, 5]
+
+    def test_ring_bound_holds_across_writers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(heartbeat, "HISTORY_LIMIT", 4)
+        fill(make_writer(tmp_path), 6)
+        second = make_writer(tmp_path)
+        fill(second, 2)  # 8 beats in the ring: 2x the bound, compacts
+        seqs = [doc["seq"] for doc in read_history(second.history_path)]
+        assert seqs == [5, 6, 7, 8]
+
+    def test_torn_line_then_append_reads_every_beat(self, tmp_path):
+        """A killed writer's torn line, then a new writer's beat: the
+        ring readers skip the torn line and keep every whole beat."""
+        fill(make_writer(tmp_path), 2)
+        ring = heartbeat.history_path(tmp_path / "heartbeat.json")
+        with open(ring, "a", encoding="utf-8") as handle:
+            handle.write('{"v":1,"run_id":"r","pha')  # no newline
+        fill(make_writer(tmp_path), 1)
+        history = read_history(ring)
+        assert [doc["seq"] for doc in history] == [1, 2, 3]
+        assert [b["seq"] for b in HeartbeatTailer(tmp_path).poll()] == [1, 2, 3]
+        assert analyze_health(history)["history_beats"] == 3
+
+    def test_compaction_keeps_the_newest_beats(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(heartbeat, "HISTORY_LIMIT", 4)
         writer = make_writer(tmp_path)
-        fill(writer, 4)
-        assert ring_generation(writer.history_path) == 0
-        raw = writer.history_path.read_text(encoding="utf-8")
-        assert RING_MARKER_KEY not in json.loads(raw.splitlines()[0]) or True
-        assert not raw.startswith('{"ring"')
-
-    def test_compaction_writes_marker_and_bounds_ring(self, tmp_path):
-        writer = make_writer(tmp_path, history_limit=8)
-        fill(writer, 16)  # 2x the limit: triggers one compaction
-        assert ring_generation(writer.history_path) == 1
+        fill(writer, 8)  # 2x the bound: one compaction
         lines = writer.history_path.read_text(encoding="utf-8").splitlines()
-        marker = json.loads(lines[0])[RING_MARKER_KEY]
-        assert marker["generation"] == 1
-        assert marker["kept"] == 8
-        assert len(lines) == 9  # marker + kept beats
-
-    def test_generation_increments_across_compactions(self, tmp_path):
-        writer = make_writer(tmp_path, history_limit=4)
-        fill(writer, 8)
-        assert ring_generation(writer.history_path) == 1
-        fill(writer, 4)
-        assert ring_generation(writer.history_path) == 2
-
-    def test_read_history_never_yields_markers(self, tmp_path):
-        writer = make_writer(tmp_path, history_limit=4)
-        fill(writer, 20)
-        docs = read_history(writer.history_path)
-        assert docs, "ring unexpectedly empty"
-        assert all(RING_MARKER_KEY not in d or "seq" in d for d in docs)
-        assert all("seq" in d for d in docs)
-        seqs = [d["seq"] for d in docs]
-        assert seqs == sorted(seqs)
-
-    def test_reattaching_writer_continues_generation(self, tmp_path):
-        first = make_writer(tmp_path, history_limit=4)
-        fill(first, 8)
-        assert ring_generation(first.history_path) == 1
-        # A retried job re-attaches to the same rundir: the sequence
-        # advances instead of resetting to 1.
-        second = make_writer(tmp_path, history_limit=4)
-        fill(second, 8)
-        assert ring_generation(second.history_path) == 2
-
-    def test_torn_marker_tolerated(self, tmp_path):
-        writer = make_writer(tmp_path, history_limit=4)
-        fill(writer, 8)
-        with open(writer.history_path, "a", encoding="utf-8") as handle:
-            handle.write('{"ring":{"v":1,"genera')  # torn mid-write
-        assert ring_generation(writer.history_path) == 1
-        fill(writer, 4)  # next compaction filters the torn line out
-        assert ring_generation(writer.history_path) == 2
-        docs = read_history(writer.history_path)
-        assert all("seq" in d for d in docs)
+        assert [json.loads(line)["seq"] for line in lines] == [5, 6, 7, 8]
 
 
 class TestConcurrentReaderAndCompactor:
-    def test_tailer_survives_compaction_races(self, tmp_path):
+    def test_tailer_survives_compaction_races(self, tmp_path, monkeypatch):
         """A reader polling while the writer compacts must never see a
-        marker as a beat, a torn document, or seq going backwards."""
-        writer = make_writer(tmp_path, history_limit=8)
+        non-beat, a torn document, or seq going backwards."""
+        monkeypatch.setattr(heartbeat, "HISTORY_LIMIT", 8)
+        writer = make_writer(tmp_path)
         writer.beat("stage1")  # ensure files exist before readers start
-        tailer = HeartbeatTailer(tmp_path, poll_interval=0.0)
+        tailer = HeartbeatTailer(tmp_path)
         stop = threading.Event()
         errors = []
         seen = []
@@ -106,8 +79,6 @@ class TestConcurrentReaderAndCompactor:
             try:
                 while not stop.is_set():
                     for beat in tailer.poll():
-                        if RING_MARKER_KEY in beat and "seq" not in beat:
-                            errors.append(f"marker leaked: {beat}")
                         seq = int(beat.get("seq", 0))
                         if seq <= last_seq:
                             errors.append(
@@ -116,9 +87,9 @@ class TestConcurrentReaderAndCompactor:
                         last_seq = seq
                         seen.append(seq)
                     # Raw history reads race the atomic swap too.
-                    for doc in read_history(writer.history_path):
-                        if "seq" not in doc:
-                            errors.append(f"non-beat in history: {doc}")
+                    seqs = [doc["seq"] for doc in read_history(writer.history_path)]
+                    if seqs != sorted(set(seqs)):
+                        errors.append(f"ring seq not increasing: {seqs}")
             except Exception as exc:  # noqa: BLE001 - fail the test
                 errors.append(f"reader crashed: {exc!r}")
 
@@ -132,5 +103,7 @@ class TestConcurrentReaderAndCompactor:
             reader.join(timeout=10.0)
         assert not reader.is_alive()
         assert errors == []
-        assert ring_generation(writer.history_path) >= 2
+        ring = read_history(writer.history_path)
+        assert all("seq" in doc for doc in ring)
+        assert len(ring) <= 2 * 8 and ring[-1]["seq"] == 401
         assert seen, "reader never observed a beat"

@@ -268,28 +268,31 @@ class TestIngest:
 
 
 class TestFlushOnSpanClose:
+    """FileSink writes are unbuffered, so nothing needs flushing: the
+    on-disk trace is complete up to the last emitted event."""
+
     def test_trace_on_disk_complete_after_span_close(self, tmp_path):
-        """Closing a span flushes every sink: the on-disk JSONL is
-        readable up to that point without closing the tracer."""
+        """The on-disk JSONL is readable up to the closed span (and
+        the event inside it) without closing the tracer."""
         path = tmp_path / "trace.jsonl"
-        handle = open(path, "w", encoding="utf-8", buffering=1 << 20)
-        sink = FileSink(handle, flush_every=10_000)
+        sink = FileSink(str(path))
         tracer = Tracer(sink)
         with tracer.span("stage1"):
             tracer.event("anneal.temperature", step=0)
+            assert path.read_text().count("\n") == 2
         events = [
             json.loads(line) for line in path.read_text().strip().splitlines()
         ]
         assert [e["ev"] for e in events] == ["span_begin", "event", "span_end"]
-        handle.close()
+        sink.close()
 
     def test_closed_sinks_not_flushed(self, tmp_path):
-        """A span closing after Tracer sinks are replaced must not touch
-        a closed file (flush is only sent to enabled sinks)."""
+        """A tracer with a disabled sink next to a FileSink writes only
+        to the FileSink, and a closed FileSink is left alone."""
         sink = FileSink(str(tmp_path / "t.jsonl"))
         tracer = Tracer([sink, NullSink()])
         with tracer.span("s"):
-            pass  # flush on close: NullSink is skipped, FileSink written
+            pass  # NullSink is skipped, FileSink written
         sink.close()
         assert (tmp_path / "t.jsonl").read_text().count("\n") == 2
 
