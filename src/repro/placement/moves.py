@@ -209,15 +209,13 @@ class MoveGenerator:
         groups = state._groups[idx]
         if not groups:
             return (0, 0)
+        group_sides = state._group_sides[idx]
         attempts, accepts = 0, 0
         count = min(len(groups), self.max_pin_groups_per_call)
         for _ in range(count):
-            key, members = groups[rng.randrange(len(groups))]
-            pins = [cell.pins[m] for m in members]
-            allowed = frozenset.intersection(*(p.sides for p in pins))
-            if not allowed:
-                allowed = pins[0].sides
-            side = rng.choice(sorted(allowed))
+            g = rng.randrange(len(groups))
+            key = groups[g][0]
+            side = rng.choice(group_sides[g])
             start = rng.randrange(cell.sites_per_edge)
             delta, snap = state.move_pin_group(idx, key, side, start)
             attempts += 1

@@ -28,11 +28,22 @@ The per-move hot path works on a struct-of-arrays mirror instead:
 * cell geometry     — flat parallel lists of expanded bounding boxes and
   (for multi-tile cells) per-tile coordinate tuples,
 * pin positions     — one flat coordinate pair per pin, indexed by a
-  per-cell slot table instead of name-keyed dicts,
+  per-cell slot table instead of name-keyed dicts, plus each pin's
+  world-frame offset from its cell's center,
 * net incidence     — integer net ids with flat member-pin-id lists,
   weights, and spans,
+* pin groups        — per (cell, group) the member slots and the
+  incident net ids, and per custom cell a site-occupancy count from
+  which the C3 penalty is re-summed,
 * variant caches    — per-(instance|aspect, orientation) oriented-bbox
-  and pin-offset tuples, flattened once from the object-model caches.
+  tuples, flattened once from the object-model shape cache, and
+  per-(instance, orientation) offset tables of the committed pins.
+
+A pin-group move is group-local: it writes only the group's pin slots,
+re-spans only the nets those pins are on, and shifts the group's counts
+in the cell's site occupancy.  A displacement only translates the
+stored offsets; an orientation, instance or aspect change refills them
+from the committed-pin table and each group's current sites.
 
 ``rebuild()`` refills the mirror from the records, so every cold entry
 point (``randomize``, ``load_state_dict``, legalization,
@@ -48,7 +59,8 @@ Both are from-scratch evaluations over the ``TileSet`` geometry (an
 all-pairs overlap loop, ``weighted_length`` per net) and share none of
 the incremental code.  Within the hot path every accumulation runs in
 an order that is a function of the placement alone (see
-``_apply_pair``), so a checkpoint-resumed run replays bit for bit.
+``_apply_pair`` and ``_sum_c3``), so a checkpoint-resumed run replays
+bit for bit.
 """
 
 from __future__ import annotations
@@ -70,11 +82,15 @@ DEFAULT_KAPPA = 5.0
 #: aspect ratios are continuous, so those cache keys are unbounded).
 _SHAPE_CACHE_LIMIT = 64
 
-#: Custom-cell pin-offset combinations (sides x sites per group) are
-#: larger but each entry is a handful of floats.
-_PIN_CACHE_LIMIT = 512
+#: Per-cell cap on flattened oriented-geometry entries (each one is a
+#: handful of floats).
+_FLAT_CACHE_LIMIT = 512
 
 _SIDES = (LEFT, RIGHT, BOTTOM, TOP)
+#: Side -> its block in a custom cell's site-occupancy count, which is
+#: side-major in ``_SIDES`` order, then site index: the canonical order
+#: the C3 penalty is summed in.
+_SIDE_RANK = {side: rank for rank, side in enumerate(_SIDES)}
 _SIDE_DIRS = {LEFT: (-1.0, 0.0), RIGHT: (1.0, 0.0), BOTTOM: (0.0, -1.0), TOP: (0.0, 1.0)}
 
 
@@ -123,7 +139,10 @@ class ArraySnapshot:
     """Undo token of one move: plain scalars and short lists.
 
     ``kind`` selects the restore path: 0 = single-cell geometry move,
-    1 = pair interchange, 2 = pin-group reassignment (no geometry saved).
+    1 = pair interchange, 2 = pin-group reassignment (no geometry saved,
+    and only the group's own pin slots).  ``offsets`` holds the pin
+    offsets and custom-cell dimensions of a move that changes a cell's
+    orientation, instance or aspect ratio, and is None otherwise.
     """
 
     __slots__ = (
@@ -135,6 +154,7 @@ class ArraySnapshot:
         "exp_refs",
         "shape_refs",
         "pins",
+        "offsets",
         "spans",
         "overlaps",
         "borders",
@@ -146,8 +166,8 @@ class ArraySnapshot:
     )
 
     def __init__(self, kind, cost_before, cells, recs, ebbs, exp_refs,
-                 shape_refs, pins, spans, overlaps, borders, c3s, pin_site,
-                 c1, c2_raw, c3_total):
+                 shape_refs, pins, offsets, spans, overlaps, borders, c3s,
+                 pin_site, c1, c2_raw, c3_total):
         self.kind = kind
         self.cost_before = cost_before
         self.cells = cells
@@ -156,6 +176,7 @@ class ArraySnapshot:
         self.exp_refs = exp_refs
         self.shape_refs = shape_refs
         self.pins = pins
+        self.offsets = offsets
         self.spans = spans
         self.overlaps = overlaps
         self.borders = borders
@@ -223,18 +244,22 @@ class PlacementState:
             self._macro_side_density(i) for i in range(n)
         ]
 
-        # Pin-group structure for custom cells: idx -> [(key, [pin names])].
+        # Pin-group structure for custom cells: idx -> [(key, [pin names])],
+        # and per group the sorted sides it may sit on — those all of its
+        # members allow, or the first member's when they share none.
         self._groups: List[List[Tuple[str, List[str]]]] = []
+        self._group_sides: List[List[Tuple[str, ...]]] = []
         for name in self.names:
             cell = circuit.cells[name]
+            groups: List[Tuple[str, List[str]]] = []
+            sides: List[Tuple[str, ...]] = []
             if isinstance(cell, CustomCell):
-                groups = [
-                    (key, [p.name for p in pins])
-                    for key, pins in cell.pin_groups().items()
-                ]
-                self._groups.append(groups)
-            else:
-                self._groups.append([])
+                for key, pins in cell.pin_groups().items():
+                    groups.append((key, [p.name for p in pins]))
+                    allowed = frozenset.intersection(*(p.sides for p in pins))
+                    sides.append(tuple(sorted(allowed or pins[0].sides)))
+            self._groups.append(groups)
+            self._group_sides.append(sides)
         # Inverse lookup, idx -> {pin name -> (group key, member index)},
         # precomputed once for the pin-offset builder.
         self._pin_group_of: List[Dict[str, Tuple[str, int]]] = [
@@ -259,16 +284,15 @@ class PlacementState:
         # Placement records: default everything at the core center.
         self.records: List[CellRecord] = [self._default_record(i) for i in range(n)]
 
-        # Memoized oriented local shapes and world-frame pin offsets: a
-        # displacement changes neither, so the per-move work reduces to
-        # one translation.  Keys are (instance|aspect, orientation[,
-        # pin sites]); custom-cell aspect ratios are continuous, so those
-        # caches are bounded (cleared when they grow past the limit).
+        # Memoized oriented local shapes, keyed (instance|aspect,
+        # orientation), and macro world-frame pin offsets, keyed
+        # (instance, orientation): a displacement changes neither.
+        # Custom-cell aspect ratios are continuous, so the shape cache is
+        # bounded (cleared when it grows past the limit).
         self._shape_cache: List[Dict[Tuple, TileSet]] = [dict() for _ in range(n)]
         self._pin_offset_cache: List[
             Dict[Tuple, Dict[str, Tuple[float, float]]]
         ] = [dict() for _ in range(n)]
-        self._c3_cache: List[Dict[Tuple, float]] = [dict() for _ in range(n)]
         self._build_incidence()
 
         # Object-model geometry, built by rebuild().  The hot path leaves
@@ -287,6 +311,14 @@ class PlacementState:
         self._ltiles: List[Optional[Tuple]] = [None] * n
         self._lpx: List[float] = [0.0] * self._num_pins
         self._lpy: List[float] = [0.0] * self._num_pins
+        # World-frame pin offsets from the cell center: _lpx == cx + _lox.
+        self._lox: List[float] = [0.0] * self._num_pins
+        self._loy: List[float] = [0.0] * self._num_pins
+        # Custom cells with pin groups: (width, height, per-side site
+        # capacities in _SIDES order) at the current aspect ratio, and
+        # the pin count of every site (see _SIDE_RANK).
+        self._cdims: List[Optional[Tuple]] = [None] * n
+        self._occ: List[Optional[List[int]]] = [None] * n
         self._lsx: List[float] = [0.0] * len(self._net_names)
         self._lsy: List[float] = [0.0] * len(self._net_names)
         self._stat4: List[Tuple[float, float, float, float]] = []
@@ -318,11 +350,11 @@ class PlacementState:
             record = CellRecord(center=(self.core.center.x, self.core.center.y))
         if isinstance(cell, CustomCell):
             record.aspect_ratio = cell.aspect.default()
-            for g, (key, members) in enumerate(self._groups[idx]):
-                pins = [cell.pins[m] for m in members]
-                sides = frozenset.intersection(*(p.sides for p in pins))
-                side = sorted(sides)[0] if sides else sorted(pins[0].sides)[0]
-                record.pin_sites[key] = (side, g % cell.sites_per_edge)
+            for g, (key, _) in enumerate(self._groups[idx]):
+                record.pin_sites[key] = (
+                    self._group_sides[idx][g][0],
+                    g % cell.sites_per_edge,
+                )
         return record
 
     def _macro_side_density(self, idx: int) -> Optional[Dict[str, float]]:
@@ -422,12 +454,53 @@ class PlacementState:
             (s.x1, s.y1, s.x2, s.y2) for s in self._slabs
         )
         self._has_groups: List[bool] = [bool(g) for g in self._groups]
+        self._nsites: List[int] = [
+            getattr(self.cell(i), "sites_per_edge", 0) for i in range(n)
+        ]
 
-        # Flattened variant caches: (key) -> oriented bbox (+tiles) and
-        # (key) -> pin-offset tuples.  Filled lazily from the object
-        # model's own caches, so the geometry math has a single source.
+        # Group-local pin moves: per (cell, group) the member slots in
+        # group order and the ids of the nets they are on, in _cnets
+        # order.  A net no member is on keeps its span, so its C1 term
+        # would be exactly +0.0 and skipping it leaves C1 bit-identical.
+        self._gindex: List[Dict[str, int]] = []
+        self._gslots: List[List[Tuple[int, ...]]] = []
+        self._gnets: List[List[Tuple[int, ...]]] = []
+        for i in range(n):
+            slot = self._pin_slot[i]
+            gslots = [
+                tuple(slot[m] for m in members) for _, members in self._groups[i]
+            ]
+            self._gindex.append(
+                {key: g for g, (key, _) in enumerate(self._groups[i])}
+            )
+            self._gslots.append(gslots)
+            self._gnets.append(
+                [
+                    tuple(
+                        e for e in self._cnets[i]
+                        if not members.isdisjoint(self._nmem[e])
+                    )
+                    for members in map(set, gslots)
+                ]
+            )
+        # Committed pins — every macro pin — as (slot, pin): their
+        # offsets depend on the instance and orientation alone.
+        self._committed: List[Tuple[Tuple[int, object], ...]] = [
+            tuple(
+                (self._pin_slot[i][pin.name], pin)
+                for pin in self.cell(i).pins.values()
+                if self._is_macro[i] or pin.is_committed
+            )
+            for i in range(n)
+        ]
+
+        # Flattened variant caches: (instance|aspect, orientation) ->
+        # oriented bbox (+tiles), filled lazily from the object model's
+        # shape cache so the geometry math has a single source; and
+        # (instance, orientation) -> ((slot, wx, wy), ...) of the
+        # committed pins (at most 8 per instance).
         self._g_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
-        self._o_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
+        self._c_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
 
     # ------------------------------------------------------------------
     # world-frame geometry
@@ -498,13 +571,13 @@ class PlacementState:
         )
         return world.expanded_per_side(left, bottom, right, top)
 
-    def _pin_positions(self, idx: int) -> Dict[str, Tuple[float, float]]:
+    def _pin_offsets(self, idx: int) -> Dict[str, Tuple[float, float]]:
+        """World-frame offsets of the cell's pins from its center, in
+        ``cell.pins`` order — the from-scratch reference."""
         record = self.records[idx]
-        cx, cy = record.center
         if self._is_macro[idx]:
             # Macro pin offsets in the world frame depend only on the
-            # instance and orientation — memoized, so a displacement
-            # costs one add per pin.
+            # instance and orientation — memoized.
             key = (record.instance, record.orientation)
             offsets = self._pin_offset_cache[idx].get(key)
             if offsets is None:
@@ -517,41 +590,30 @@ class PlacementState:
                         record.orientation, lx, ly
                     )
                 self._pin_offset_cache[idx][key] = offsets
-            return {
-                name: (cx + wx, cy + wy) for name, (wx, wy) in offsets.items()
-            }
+            return offsets
         cell = self.cell(idx)
         assert isinstance(cell, CustomCell) and record.aspect_ratio is not None
-        # Custom-cell offsets depend on (aspect, orientation, site
-        # assignment); the sites are discrete, so the combinations recur
-        # heavily during pin-group annealing.  pin_sites keys are fixed
-        # after construction, so the value tuple is a stable signature.
-        sig = (
-            record.aspect_ratio,
-            record.orientation,
-            tuple(record.pin_sites.values()),
-        )
-        cache = self._pin_offset_cache[idx]
-        offsets = cache.get(sig)
-        if offsets is None:
-            if len(cache) >= _PIN_CACHE_LIMIT:
-                cache.clear()
-            width, height = cell.dimensions(record.aspect_ratio)
-            nsites = cell.sites_per_edge
-            offsets = {}
-            for pin in cell.pins.values():
-                if pin.is_committed:
-                    lx, ly = pin.offset  # type: ignore[misc]
-                else:
-                    key, member_idx = self._group_of(idx, pin.name)
-                    side, start = record.pin_sites[key]
-                    site_idx = (start + member_idx) % nsites
-                    lx, ly = _site_position(side, site_idx, nsites, width, height)
-                offsets[pin.name] = ori.transform_point(
-                    record.orientation, lx, ly
-                )
-            cache[sig] = offsets
-        return {name: (cx + wx, cy + wy) for name, (wx, wy) in offsets.items()}
+        width, height = cell.dimensions(record.aspect_ratio)
+        nsites = cell.sites_per_edge
+        offsets = {}
+        for pin in cell.pins.values():
+            if pin.is_committed:
+                lx, ly = pin.offset  # type: ignore[misc]
+            else:
+                key, member_idx = self._group_of(idx, pin.name)
+                side, start = record.pin_sites[key]
+                site_idx = (start + member_idx) % nsites
+                lx, ly = _site_position(side, site_idx, nsites, width, height)
+            offsets[pin.name] = ori.transform_point(record.orientation, lx, ly)
+        return offsets
+
+    def _pin_positions(self, idx: int) -> Dict[str, Tuple[float, float]]:
+        """World pin positions of the cell, by pin name (reference)."""
+        cx, cy = self.records[idx].center
+        return {
+            name: (cx + wx, cy + wy)
+            for name, (wx, wy) in self._pin_offsets(idx).items()
+        }
 
     def _group_of(self, idx: int, pin_name: str) -> Tuple[str, int]:
         try:
@@ -578,6 +640,8 @@ class PlacementState:
         n = len(self.names)
         lpx = self._lpx
         lpy = self._lpy
+        lox = self._lox
+        loy = self._loy
         for i in range(n):
             world = self._world_shape(i)
             exp = self._expanded_shape(i, world)
@@ -594,9 +658,17 @@ class PlacementState:
                 if len(tiles) == 1
                 else tuple((t.x1, t.y1, t.x2, t.y2) for t in tiles)
             )
-            pins = self._pin_positions(i)
+            offsets = self._pin_offsets(i)
+            cx, cy = self.records[i].center
             for p, name in enumerate(self._pin_names[i], self._pin_start[i]):
-                lpx[p], lpy[p] = pins[name]
+                wx, wy = offsets[name]
+                lox[p] = wx
+                loy[p] = wy
+                lpx[p] = cx + wx
+                lpy[p] = cy + wy
+            if self._has_groups[i]:
+                self._cdims[i] = self._custom_dims(i)
+                self._occ[i] = self._site_occupancy(i)
             self._c3[i] = self._cell_c3(i)
         self._c1 = 0.0
         for e, net in enumerate(self.circuit.nets.values()):
@@ -672,33 +744,25 @@ class PlacementState:
         assert isinstance(cell, CustomCell)
         record = self.records[idx]
         assert record.aspect_ratio is not None
-        # The penalty depends only on the aspect ratio and the site
-        # assignment; both are discrete-ish under annealing, so repeats
-        # dominate (same signature scheme as the pin-offset cache).
-        sig = (record.aspect_ratio, self.kappa, tuple(record.pin_sites.values()))
-        cache = self._c3_cache[idx]
-        hit = cache.get(sig)
-        if hit is not None:
-            return hit
-        if len(cache) >= _PIN_CACHE_LIMIT:
-            cache.clear()
         width, height = cell.dimensions(record.aspect_ratio)
         nsites = cell.sites_per_edge
         pitch = cell.pin_pitch
-        occupancy: Dict[Tuple[str, int], int] = {}
+        occupancy: Dict[Tuple[int, int], int] = {}
         for key, members in self._groups[idx]:
             side, start = record.pin_sites[key]
             for k in range(len(members)):
-                site = (side, (start + k) % nsites)
+                site = (_SIDE_RANK[side], (start + k) % nsites)
                 occupancy[site] = occupancy.get(site, 0) + 1
+        # Summed in the canonical site order (side-major, then site
+        # index), as the hot path's re-sum is: at a non-integer kappa the
+        # terms are not integers, and a resumed run must agree bit for bit.
         penalty = 0.0
-        for (side, _), count in occupancy.items():
-            edge_len = height if side in (LEFT, RIGHT) else width
+        for (rank, _), count in sorted(occupancy.items()):
+            edge_len = height if _SIDES[rank] in (LEFT, RIGHT) else width
             capacity = max(1, int(edge_len / pitch / nsites))
             if count > capacity:
                 excess = count - capacity + self.kappa
                 penalty += excess * excess
-        cache[sig] = penalty
         return penalty
 
     def cost_breakdown_fresh(self) -> Tuple[float, float, float]:
@@ -829,7 +893,7 @@ class PlacementState:
         return len(self.names)
 
     # ------------------------------------------------------------------
-    # variant caches (flattened views over the object-model caches)
+    # variant caches
     # ------------------------------------------------------------------
 
     def _geom_flat(self, i: int, key: Tuple) -> Tuple:
@@ -837,7 +901,7 @@ class PlacementState:
         cache = self._g_flat[i]
         entry = cache.get(key)
         if entry is None:
-            if len(cache) >= _PIN_CACHE_LIMIT:
+            if len(cache) >= _FLAT_CACHE_LIMIT:
                 cache.clear()
             ts = self._oriented_shape(i)
             bb = ts.bbox
@@ -854,40 +918,29 @@ class PlacementState:
             cache[key] = entry
         return entry
 
-    def _offsets_flat(self, i: int, key: Tuple) -> Tuple[Tuple, Tuple]:
-        """Pin offsets in slot order, as (xs, ys) tuples."""
-        cache = self._o_flat[i]
-        entry = cache.get(key)
-        if entry is None:
-            if len(cache) >= _PIN_CACHE_LIMIT:
-                cache.clear()
-            source = self._pin_offset_cache[i]
-            offsets = source.get(key)
-            if offsets is None:
-                # Populate the object-model cache (its dict iterates in
-                # cell.pins order — the same order as the slots).
-                self._pin_positions(i)
-                offsets = source[key]
-            entry = (
-                tuple(wx for wx, _ in offsets.values()),
-                tuple(wy for _, wy in offsets.values()),
-            )
-            cache[key] = entry
-        return entry
-
-    def _variant_keys(self, i: int):
-        """(geometry key, pin-offset key) for cell i's current record —
-        the same keys the object-model caches use."""
+    def _geom_key(self, i: int) -> Tuple:
+        """Cell i's geometry key — the one the shape cache uses."""
         rec = self.records[i]
         if self._is_macro[i]:
-            gkey = (rec.instance, rec.orientation)
-            return gkey, gkey
-        gkey = (rec.aspect_ratio, rec.orientation)
-        return gkey, (
-            rec.aspect_ratio,
-            rec.orientation,
-            tuple(rec.pin_sites.values()),
-        )
+            return (rec.instance, rec.orientation)
+        return (rec.aspect_ratio, rec.orientation)
+
+    def _committed_flat(self, i: int, instance: int, o: int) -> Tuple:
+        """((slot, wx, wy), ...) of cell i's committed pins."""
+        cache = self._c_flat[i]
+        entry = cache.get((instance, o))
+        if entry is None:
+            cell = self.cell(i)
+            out = []
+            for p, pin in self._committed[i]:
+                if self._is_macro[i]:
+                    lx, ly = cell.instances[instance].pin_offset(pin)
+                else:
+                    lx, ly = pin.offset
+                wx, wy = ori.transform_point(o, lx, ly)
+                out.append((p, wx, wy))
+            entry = cache[(instance, o)] = tuple(out)
+        return entry
 
     # ------------------------------------------------------------------
     # hot-path helpers
@@ -898,8 +951,7 @@ class PlacementState:
         oriented bbox, ``side_expansions`` on the translated bbox, and
         the composed translate+expand arithmetic."""
         rec = self.records[i]
-        gkey, _ = self._variant_keys(i)
-        ox1, oy1, ox2, oy2, ltiles = self._geom_flat(i, gkey)
+        ox1, oy1, ox2, oy2, ltiles = self._geom_flat(i, self._geom_key(i))
         cx, cy = rec.center
         if self.dynamic_expansion:
             dens = self._dens8[i]
@@ -1075,28 +1127,99 @@ class PlacementState:
         self._expanded[i] = None  # type: ignore[call-overload]
         self._grid.update_coords(i, x1, y1, x2, y2)
 
-    def _commit_pins(self, i) -> None:
-        rec = self.records[i]
-        _, okey = self._variant_keys(i)
-        offx, offy = self._offsets_flat(i, okey)
-        cx, cy = rec.center
-        lpx = self._lpx
-        lpy = self._lpy
-        start = self._pin_start[i]
-        for k in range(self._pin_count[i]):
-            lpx[start + k] = cx + offx[k]
-            lpy[start + k] = cy + offy[k]
+    def _custom_dims(self, i) -> Tuple:
+        """(width, height, per-side site capacities in _SIDES order) of
+        custom cell i at its current aspect ratio."""
+        cell = self.cell(i)
+        width, height = cell.dimensions(self.records[i].aspect_ratio)
+        pitch = cell.pin_pitch
+        nsites = cell.sites_per_edge
+        vertical = max(1, int(height / pitch / nsites))
+        horizontal = max(1, int(width / pitch / nsites))
+        return (width, height, (vertical, vertical, horizontal, horizontal))
+
+    def _site_occupancy(self, i) -> List[int]:
+        """Pin count per site of custom cell i, indexed as _SIDE_RANK
+        says, from its current site assignment."""
+        nsites = self._nsites[i]
+        occ = [0] * (4 * nsites)
+        sites = self.records[i].pin_sites
+        for (key, _), slots in zip(self._groups[i], self._gslots[i]):
+            side, start = sites[key]
+            _shift_sites(occ, nsites, len(slots), side, start, 1)
+        return occ
+
+    def _sum_c3(self, i) -> float:
+        """Cell i's pin-site penalty (Eqns 10-11), re-summed from its
+        occupancy count in the canonical order of ``_cell_c3``."""
+        occ = self._occ[i]
+        caps = self._cdims[i][2]
+        nsites = self._nsites[i]
+        kappa = self.kappa
+        penalty = 0.0
+        for rank in range(4):
+            cap = caps[rank]
+            base = rank * nsites
+            for count in occ[base:base + nsites]:
+                if count > cap:
+                    excess = count - cap + kappa
+                    penalty += excess * excess
+        return penalty
 
     def _commit_c3(self, i) -> None:
-        if self._has_groups[i]:
-            new_c3 = self._cell_c3(i)
-            self._c3_total += new_c3 - self._c3[i]
-            self._c3[i] = new_c3
+        new_c3 = self._sum_c3(i)
+        self._c3_total += new_c3 - self._c3[i]
+        self._c3[i] = new_c3
+
+    def _group_offsets(self, i, slots, side, start) -> None:
+        """Write the offsets of one pin group of custom cell i placed at
+        (side, start) — the reference's site arithmetic."""
+        lox = self._lox
+        loy = self._loy
+        o = self.records[i].orientation
+        width, height, _ = self._cdims[i]
+        nsites = self._nsites[i]
+        for k, p in enumerate(slots):
+            lx, ly = _site_position(side, (start + k) % nsites, nsites, width, height)
+            lox[p], loy[p] = ori.transform_point(o, lx, ly)
+
+    def _commit_variant(self, i, old_aspect) -> None:
+        """Cell i has a new orientation, instance or aspect ratio: refresh
+        its dimensions and C3 if the aspect changed (the capacities move,
+        the occupancy does not), then all of its pin offsets."""
+        rec = self.records[i]
+        has_groups = self._has_groups[i]
+        if has_groups and rec.aspect_ratio != old_aspect:
+            self._cdims[i] = self._custom_dims(i)
+            self._commit_c3(i)
+        lox = self._lox
+        loy = self._loy
+        for p, wx, wy in self._committed_flat(i, rec.instance, rec.orientation):
+            lox[p] = wx
+            loy[p] = wy
+        if has_groups:
+            sites = rec.pin_sites
+            for (key, _), slots in zip(self._groups[i], self._gslots[i]):
+                side, start = sites[key]
+                self._group_offsets(i, slots, side, start)
+
+    def _commit_pins(self, i) -> None:
+        """Translate cell i's stored offsets to its current center."""
+        cx, cy = self.records[i].center
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        self._lpx[start:end] = [cx + wx for wx in self._lox[start:end]]
+        self._lpy[start:end] = [cy + wy for wy in self._loy[start:end]]
 
     def _save_pins(self, i) -> Tuple[List[float], List[float]]:
         start = self._pin_start[i]
         end = start + self._pin_count[i]
         return (self._lpx[start:end], self._lpy[start:end])
+
+    def _save_offsets(self, i) -> Tuple:
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        return (self._lox[start:end], self._loy[start:end], self._cdims[i])
 
     # ------------------------------------------------------------------
     # moves
@@ -1136,12 +1259,19 @@ class PlacementState:
         self, i, new_center, new_o, new_inst, new_ar, invert
     ) -> Tuple[float, ArraySnapshot]:
         rec = self.records[i]
+        old_ar = rec.aspect_ratio
+        variant = (
+            invert
+            or new_o != rec.orientation
+            or new_inst != rec.instance
+            or new_ar != old_ar
+        )
         cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
         snap = ArraySnapshot(
             0,
             cost_before,
             i,
-            (rec.center, rec.orientation, rec.instance, rec.aspect_ratio),
+            (rec.center, rec.orientation, rec.instance, old_ar),
             (
                 self._lex1[i],
                 self._ley1[i],
@@ -1152,6 +1282,7 @@ class PlacementState:
             self._expanded[i],
             self._shapes[i],
             self._save_pins(i),
+            self._save_offsets(i) if variant else None,
             [],
             [],
             self._borders[i],
@@ -1169,8 +1300,9 @@ class PlacementState:
             self._invert_record_aspect(i)
         x1, y1, x2, y2, tiles = self._cell_geometry(i)
         self._commit_geometry(i, x1, y1, x2, y2, tiles)
+        if variant:
+            self._commit_variant(i, old_ar)
         self._commit_pins(i)
-        self._commit_c3(i)
         self._span_delta(self._cnets[i], snap.spans)
         self._partner_delta(i, x1, y1, x2, y2, tiles, None, snap.overlaps)
         cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
@@ -1198,15 +1330,14 @@ class PlacementState:
         # run's trajectory by ULPs.
         a, b = (i, j) if i < j else (j, i)
         ra, rb = self.records[a], self.records[b]
+        ra_old = (ra.center, ra.orientation, ra.instance, ra.aspect_ratio)
+        rb_old = (rb.center, rb.orientation, rb.instance, rb.aspect_ratio)
         cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
         snap = ArraySnapshot(
             1,
             cost_before,
             (a, b),
-            (
-                (ra.center, ra.orientation, ra.instance, ra.aspect_ratio),
-                (rb.center, rb.orientation, rb.instance, rb.aspect_ratio),
-            ),
+            (ra_old, rb_old),
             (
                 (self._lex1[a], self._ley1[a], self._lex2[a], self._ley2[a],
                  self._ltiles[a]),
@@ -1216,6 +1347,7 @@ class PlacementState:
             (self._expanded[a], self._expanded[b]),
             (self._shapes[a], self._shapes[b]),
             (self._save_pins(a), self._save_pins(b)),
+            (self._save_offsets(a), self._save_offsets(b)) if invert else None,
             [],
             [],
             (self._borders[a], self._borders[b]),
@@ -1231,14 +1363,15 @@ class PlacementState:
         if invert:
             self._invert_record_aspect(i)
             self._invert_record_aspect(j)
-        # Loop 1 — geometry, pins, C3, in ascending cell order.
+        # Loop 1 — geometry, C3, pins, in ascending cell order.
         geoms = {}
-        for k in (a, b):
+        for k, saved in ((a, ra_old), (b, rb_old)):
             x1, y1, x2, y2, tiles = self._cell_geometry(k)
             self._commit_geometry(k, x1, y1, x2, y2, tiles)
             geoms[k] = (x1, y1, x2, y2, tiles)
+            if invert:
+                self._commit_variant(k, saved[3])
             self._commit_pins(k)
-            self._commit_c3(k)
         # Loop 2 — net spans in name-sorted order.
         net_ids = set(self._cnets[a])
         net_ids.update(self._cnets[b])
@@ -1270,8 +1403,18 @@ class PlacementState:
         Pin sites live on the cell boundary: the move cannot change the
         cell's shape or expansion, so the geometry bookkeeping (grid,
         borders, overlaps) is skipped on both the apply and restore side.
+        The move is group-local: it writes and saves only the group's
+        pin slots, re-spans only the nets they are on, and moves the
+        group's counts in the cell's site occupancy.
         """
+        g = self._gindex[idx][group_key]
+        slots = self._gslots[idx][g]
         rec = self.records[idx]
+        old_side, old_start = old_site = rec.pin_sites[group_key]
+        lpx = self._lpx
+        lpy = self._lpy
+        lox = self._lox
+        loy = self._loy
         cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
         snap = ArraySnapshot(
             2,
@@ -1281,20 +1424,34 @@ class PlacementState:
             None,
             None,
             None,
-            self._save_pins(idx),
+            (
+                [lpx[p] for p in slots],
+                [lpy[p] for p in slots],
+                [lox[p] for p in slots],
+                [loy[p] for p in slots],
+            ),
+            None,
             [],
             None,
             None,
             self._c3[idx],
-            (group_key, rec.pin_sites[group_key]),
+            (g, group_key, old_site),
             self._c1,
             self._c2_raw,
             self._c3_total,
         )
         rec.pin_sites[group_key] = (side, start)
-        self._commit_pins(idx)
+        self._group_offsets(idx, slots, side, start)
+        cx, cy = rec.center
+        for p in slots:
+            lpx[p] = cx + lox[p]
+            lpy[p] = cy + loy[p]
+        occ = self._occ[idx]
+        nsites = self._nsites[idx]
+        _shift_sites(occ, nsites, len(slots), old_side, old_start, -1)
+        _shift_sites(occ, nsites, len(slots), side, start, 1)
         self._commit_c3(idx)
-        self._span_delta(self._cnets[idx], snap.spans)
+        self._span_delta(self._gnets[idx][g], snap.spans)
         cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
         return (cost - cost_before, snap)
 
@@ -1308,6 +1465,13 @@ class PlacementState:
         end = start + self._pin_count[i]
         self._lpx[start:end] = xs
         self._lpy[start:end] = ys
+
+    def _restore_offsets(self, i, saved) -> None:
+        xs, ys, self._cdims[i] = saved
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        self._lox[start:end] = xs
+        self._loy[start:end] = ys
 
     def _restore_spans(self, spans) -> None:
         lsx = self._lsx
@@ -1348,9 +1512,26 @@ class PlacementState:
         kind = snap.kind
         if kind == 2:
             i = snap.cells
-            key, site = snap.pin_site
-            self.records[i].pin_sites[key] = site
-            self._restore_pins(i, snap.pins)
+            g, key, old_site = snap.pin_site
+            slots = self._gslots[i][g]
+            sites = self.records[i].pin_sites
+            side, start = sites[key]
+            old_side, old_start = old_site
+            occ = self._occ[i]
+            nsites = self._nsites[i]
+            _shift_sites(occ, nsites, len(slots), side, start, -1)
+            _shift_sites(occ, nsites, len(slots), old_side, old_start, 1)
+            sites[key] = old_site
+            lpx = self._lpx
+            lpy = self._lpy
+            lox = self._lox
+            loy = self._loy
+            xs, ys, oxs, oys = snap.pins
+            for k, p in enumerate(slots):
+                lpx[p] = xs[k]
+                lpy[p] = ys[k]
+                lox[p] = oxs[k]
+                loy[p] = oys[k]
             self._restore_spans(snap.spans)
             self._c3[i] = snap.c3s
             self._c1 = snap.c1
@@ -1361,6 +1542,8 @@ class PlacementState:
             self._restore_cell(i, snap.recs, snap.ebbs, snap.exp_refs,
                                snap.shape_refs)
             self._restore_pins(i, snap.pins)
+            if snap.offsets is not None:
+                self._restore_offsets(i, snap.offsets)
             self._borders[i] = snap.borders
             self._c3[i] = snap.c3s
         else:
@@ -1371,6 +1554,9 @@ class PlacementState:
                                snap.exp_refs[1], snap.shape_refs[1])
             self._restore_pins(a, snap.pins[0])
             self._restore_pins(b, snap.pins[1])
+            if snap.offsets is not None:
+                self._restore_offsets(a, snap.offsets[0])
+                self._restore_offsets(b, snap.offsets[1])
             self._borders[a] = snap.borders[0]
             self._borders[b] = snap.borders[1]
             self._c3[a] = snap.c3s[0]
@@ -1507,6 +1693,16 @@ class PlacementState:
             min(max(point[0], self.core.x1), self.core.x2),
             min(max(point[1], self.core.y1), self.core.y2),
         )
+
+
+def _shift_sites(
+    occ: List[int], nsites: int, count: int, side: str, start: int, step: int
+) -> None:
+    """Add ``step`` to the occupancy of the ``count`` consecutive sites a
+    group placed at (side, start) covers (wrapping within the edge)."""
+    base = _SIDE_RANK[side] * nsites
+    for k in range(count):
+        occ[base + (start + k) % nsites] += step
 
 
 def _site_position(

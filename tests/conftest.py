@@ -72,3 +72,41 @@ def macro_circuit() -> Circuit:
 @pytest.fixture
 def mixed_circuit() -> Circuit:
     return make_mixed_circuit()
+
+
+def make_crowded_custom_circuit(
+    num_cells: int = 6, groups: int = 3, group_size: int = 3
+) -> Circuit:
+    """All-custom cells whose grouped pins outnumber their one-pin
+    sites, so the pin-site penalty (C3) stays live under annealing.
+    Group G0 is a top/bottom pin sequence; every cell also carries a
+    loose edge pin and a committed pin."""
+    nets = 2 * num_cells
+    cells = []
+    for i in range(num_cells):
+        pins = [
+            Pin(f"g0p{k}", f"n{(i + k) % nets}", PinKind.SEQUENCE, group="G0",
+                sequence_index=k, sides=frozenset({"top", "bottom"}))
+            for k in range(group_size)
+        ]
+        pins += [
+            Pin(f"g{g}p{k}", f"n{(i + g + k) % nets}", PinKind.GROUP,
+                group=f"G{g}")
+            for g in range(1, groups)
+            for k in range(group_size)
+        ]
+        pins.append(Pin("e", f"n{(i * 5) % nets}", PinKind.EDGE))
+        pins.append(
+            Pin("f", f"n{(i * 7 + 1) % nets}", PinKind.FIXED, offset=(1.0, 2.0))
+        )
+        cells.append(
+            CustomCell(
+                f"c{i}",
+                pins,
+                area=64.0,
+                aspect=ContinuousAspectRatio(0.5, 2.0),
+                sites_per_edge=4,
+                pin_pitch=2.0,
+            )
+        )
+    return Circuit("crowded", cells)

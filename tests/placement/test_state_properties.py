@@ -17,7 +17,11 @@ from repro.geometry import BOTTOM, LEFT, RIGHT, TOP
 from repro.netlist import CustomCell
 from repro.placement import PlacementState
 
-from ..conftest import make_macro_circuit, make_mixed_circuit
+from ..conftest import (
+    make_crowded_custom_circuit,
+    make_macro_circuit,
+    make_mixed_circuit,
+)
 
 SIDES = (LEFT, RIGHT, BOTTOM, TOP)
 
@@ -189,6 +193,116 @@ class TestPinGroupFastPath:
         assert state._overlaps == overlaps_before
         assert_structures_in_sync(state)
         assert_matches_rebuild(state)
+
+
+def mirror_copy(state):
+    """Deep copies of every hot-path mirror, the site-occupancy counts,
+    the records and the accumulators."""
+    return (
+        list(state._lex1), list(state._ley1), list(state._lex2),
+        list(state._ley2), list(state._ltiles),
+        list(state._lpx), list(state._lpy), list(state._lox), list(state._loy),
+        list(state._lsx), list(state._lsy),
+        list(state._borders), list(state._c3), list(state._cdims),
+        [None if occ is None else list(occ) for occ in state._occ],
+        dict(state._overlaps), [set(a) for a in state._adj],
+        state.state_dict(),
+    )
+
+
+def pin_heavy_walk(state, steps, seed):
+    """Random pin-group, displace, inverted-displace, orientation,
+    aspect and swap moves, each restored (rejected) about half the
+    time; yields after every step with the move's snapshot state."""
+    rng = random.Random(seed)
+    n = len(state.names)
+    span = state.core.width / 2.0
+    for _ in range(steps):
+        idx = rng.randrange(n)
+        cell = state.cell(idx)
+        kind = rng.choice(
+            ("pin_group", "pin_group", "pin_group", "displace",
+             "displace_inverted", "orientation", "aspect", "swap")
+        )
+        target = (rng.uniform(-span, span), rng.uniform(-span, span))
+        before = mirror_copy(state)
+        if kind == "pin_group":
+            g = rng.randrange(len(state._groups[idx]))
+            _, snap = state.move_pin_group(
+                idx,
+                state._groups[idx][g][0],
+                rng.choice(state._group_sides[idx][g]),
+                rng.randrange(cell.sites_per_edge),
+            )
+        elif kind == "displace":
+            _, snap = state.move_cell(idx, center=target)
+        elif kind == "displace_inverted":
+            _, snap = state.move_cell_inverted(idx, target)
+        elif kind == "orientation":
+            _, snap = state.move_cell(idx, orientation=rng.randrange(8))
+        elif kind == "aspect":
+            ar = cell.aspect.clamp(rng.uniform(0.4, 2.5))
+            _, snap = state.move_cell(idx, aspect_ratio=ar)
+        else:
+            j = rng.randrange(n - 1)
+            j = j + 1 if j >= idx else j
+            _, snap = state.swap_cells(idx, j)
+        rejected = rng.random() < 0.5
+        if rejected:
+            state.restore(snap)
+        yield kind, rejected, before
+
+
+class TestPinMoveProperties:
+    """Group-local pin moves and the incremental C3 against the
+    from-scratch reference, after every single step."""
+
+    # 5.0 and 2.5 give exact (integer, quarter-integer) terms; at 0.1
+    # they round, so only the canonical summation order matches.
+    @pytest.mark.parametrize("kappa", [5.0, 2.5, 0.1])
+    def test_every_step_matches_reference(self, kappa):
+        # Sixteen grouped pins on sixteen one-pin sites: many sites
+        # overflow at once, so the summation order shows.
+        ckt = make_crowded_custom_circuit(groups=4, group_size=4)
+        state = PlacementState(ckt, determine_core(ckt), kappa=kappa)
+        state.randomize(random.Random(81))
+        kinds = set()
+        c3_live = False
+        for kind, rejected, before in pin_heavy_walk(state, 400, seed=81):
+            kinds.add(kind)
+            if rejected:
+                assert mirror_copy(state) == before, f"{kind} restore"
+            for i in range(len(state.names)):
+                pins = state._pin_positions(i)
+                for p, name in enumerate(state._pin_names[i], state._pin_start[i]):
+                    assert (state._lpx[p], state._lpy[p]) == pins[name], kind
+                # The canonical sum order makes the per-cell penalty
+                # exactly the reference's, at any kappa.
+                assert state._c3[i] == state._cell_c3(i), kind
+            c1, _, c3 = state.cost_breakdown_fresh()
+            assert state.c1() == pytest.approx(c1, rel=1e-9, abs=1e-6)
+            assert state.c3() == pytest.approx(c3, rel=1e-9, abs=1e-9)
+            c3_live = c3_live or c3 != int(c3)
+        assert len(kinds) == 6
+        if kappa != 5.0:
+            assert c3_live, "the walk must reach non-integer penalties"
+
+    def test_pin_move_touches_only_its_group(self):
+        ckt = make_crowded_custom_circuit()
+        state = PlacementState(ckt, determine_core(ckt))
+        state.randomize(random.Random(82))
+        idx = 2
+        g = 1
+        key = state._groups[idx][g][0]
+        slots = set(state._gslots[idx][g])
+        lpx = list(state._lpx)
+        _, snap = state.move_pin_group(idx, key, TOP, 3)
+        changed = {p for p, x in enumerate(state._lpx) if x != lpx[p]}
+        assert changed <= slots
+        # Only the group's incident nets are re-spanned.
+        assert [e for e, _, _ in snap.spans] == list(state._gnets[idx][g])
+        members = {e for e in state._cnets[idx] if slots & set(state._nmem[e])}
+        assert set(state._gnets[idx][g]) == members
 
 
 class TestLazyWorldShape:
